@@ -1,4 +1,4 @@
-.PHONY: build test check faults chaos sweep report bench-diff serve-bench e11 verify repro bench bench-kernels metrics clean
+.PHONY: build test check faults sweep report bench-diff serve-bench e11 verify repro bench bench-kernels metrics clean
 
 build:
 	dune build
@@ -12,24 +12,17 @@ check:
 	dune exec bin/repro.exe -- check --strict --json CHECK_diagnostics.json
 	dune exec bin/repro.exe -- validate-json CHECK_diagnostics.json
 
-# Deterministic fault-injection campaign: every registered fault site is
-# injected at least once and must recover, degrade, or fail with a typed
-# diagnostic — never silently and never with an uncaught exception. The
-# JSON report must validate.
+# The fault campaign, one table over the flow and the daemon: flow drivers
+# and a real daemon under armed fault sites, a SIGKILL mid-workload, and
+# disconnecting / stalling / flooding clients. Every row must recover,
+# degrade, or fail with a typed diagnostic — never silently, never with an
+# uncaught exception — and its checks (the store validates, a warm restart
+# answers byte-identically) must hold. Coverage is measured: a catalog
+# (site, kind) pair no row injected fails the gate. The exit status IS the
+# gate, and the JSON report must validate.
 faults:
 	dune exec bin/repro.exe -- faults --json FAULTS_report.json
 	dune exec bin/repro.exe -- validate-json FAULTS_report.json
-
-# Serve chaos campaign: SIGKILL the daemon mid-workload and at every
-# registered fault site, truncate a segment store at every byte offset,
-# flip bytes before the recoverable tail, interrupt a JSON migration,
-# disconnect / stall / flood clients — then assert the store validates and
-# a warm restart answers byte-identically to a never-killed evaluator.
-# The exit status IS the gate (any failed scenario or uncovered catalog
-# site is non-ok), and the JSON report must validate.
-chaos:
-	dune exec bin/repro.exe -- chaos serve --json FAULTS_serve.json
-	dune exec bin/repro.exe -- validate-json FAULTS_serve.json
 
 # Design-space sweep, cold then warm: the first pass fills the result cache
 # from scratch, the second must serve every point from the store (hit rate
@@ -90,10 +83,10 @@ e11:
 	dune exec bin/repro.exe -- report --by-stage BENCH_e11_metrics.json
 
 # The default verification path: build, full test suite, strict lint gates,
-# fault campaign, serve chaos campaign, cold/warm design-space sweep, trace
-# analysis + Perfetto export, kernel history gating, daemon load test,
-# Charm-gated FPGA measurement.
-verify: build test check faults chaos sweep report bench-diff serve-bench e11
+# fault campaign, cold/warm design-space sweep, trace analysis + Perfetto
+# export, kernel history gating, daemon load test, Charm-gated FPGA
+# measurement.
+verify: build test check faults sweep report bench-diff serve-bench e11
 
 repro:
 	dune exec bin/repro.exe -- all -x

@@ -1,8 +1,8 @@
 (* Benchmark harness.
 
-   Part 1 regenerates every table the paper reproduction produces (E1-E10)
-   and prints the pass/fail summary — this is the artifact the EXPERIMENTS.md
-   numbers come from.
+   Part 1 regenerates every table the paper reproduction produces (E1-E11,
+   plus the X1-X8 extensions) and prints the pass/fail summary — this is
+   the artifact the EXPERIMENTS.md numbers come from.
 
    Part 2 runs one Bechamel micro-benchmark per experiment, timing the
    computational kernel behind each table (synthesis flow, STA, placement,
@@ -19,7 +19,7 @@ open Bechamel
 open Toolkit
 
 let regenerate_tables () =
-  print_endline "=== reproduction tables (E1-E10) + extensions (X1-X3) ===";
+  print_endline "=== reproduction tables (E1-E11) + extensions (X1-X8) ===";
   let results =
     Gap_experiments.Registry.run_all () @ Gap_experiments.Registry.run_extensions ()
   in
@@ -396,7 +396,7 @@ let usage () =
   print_endline
     "usage: bench [--tables-only | --bench-only] [--quick] [--kernels-json PATH]\n\
      \             [--history PATH]\n\
-     \  default            regenerate the E1-E10/X1-X5 tables, then run the\n\
+     \  default            regenerate the E1-E11/X1-X8 tables, then run the\n\
      \                     per-experiment bechamel suite\n\
      \  --tables-only      only regenerate the tables\n\
      \  --bench-only       only run the per-experiment bechamel suite\n\

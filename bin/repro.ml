@@ -1,18 +1,24 @@
 (* repro: command-line driver for the paper reproduction.
 
-   repro list            enumerate experiments (E1..E10 + extensions X1..X3)
+   repro list            enumerate experiments (E1..E11 + extensions X1..X8)
    repro run E3 X1       run selected experiments
    repro all             run everything and print the summary
    repro resume FILE     continue a checkpointed campaign (repro all --checkpoint)
-   repro faults          deterministic fault-injection campaign over every site
+   repro faults          the fault campaign: flow sites and the daemon, one table
+   repro check           run experiments with design-rule stage gates armed
    repro analysis        print the core gap analysis (factor table etc.)
    repro dump cla16      synthesize a named circuit and emit structural Verilog
+   repro libdump rich    emit a generated library in Liberty format
+   repro validate-json F check that a JSON document or JSONL trace is well formed
    repro sweep PRESET    design-space sweep through the result cache + worker pool
    repro pareto          Pareto frontier over (delay, area, power) with the gap composite
    repro cache stats     inspect / reset the persistent DSE result cache
    repro report TRACE    analyze a JSONL trace: self-time, top-K, critical path
    repro report --diff A B   cross-run regression diff over the history store
-   repro export-trace    convert a JSONL trace to Chrome/Perfetto format *)
+   repro export-trace    convert a JSONL trace to Chrome/Perfetto format
+   repro serve SOCKET    the multi-client evaluation daemon
+   repro bench serve     drive an in-process daemon with concurrent clients
+   repro fpga-gap        E11's three-way FPGA/ASIC/custom gap, Charm-gated *)
 
 open Cmdliner
 
@@ -202,20 +208,23 @@ let list_faults () =
 let run_faults list seed json_path =
   if list then list_faults ()
   else begin
-  let results = Campaign.run_faults ~seed () in
-  print_string (Campaign.faults_table results);
-  Option.iter
-    (fun path ->
-      let doc = Campaign.faults_json ~seed results in
-      Gap_util.Atomic_io.write_string path
-        (Gap_obs.Json.to_string ~pretty:true doc ^ "\n"))
-    json_path;
-  if Campaign.faults_ok results then 0
-  else begin
-    Printf.eprintf
-      "faults: some fault sites were silent, uncaught, or not exercised\n";
-    1
-  end
+    let results = Campaign.run_faults ~seed () in
+    print_string (Campaign.faults_table results);
+    Option.iter
+      (fun path -> write_json_doc path (Campaign.faults_json ~seed results))
+      json_path;
+    List.iter
+      (fun (r : Campaign.row_result) ->
+        if not (Campaign.outcome_ok r.outcome) then
+          Printf.eprintf "faults: row %s: %s\n" r.row
+            (Campaign.outcome_detail r.outcome))
+      results;
+    List.iter
+      (fun (site, kind) ->
+        Printf.eprintf "faults: catalog pair %s/%s was never injected\n" site
+          (Gap_resilience.Stage_error.kind_string kind))
+      (Campaign.uncovered results);
+    if Campaign.faults_ok results then 0 else 1
   end
 
 let analysis () =
@@ -295,7 +304,7 @@ let run_cmd =
 
 let all_cmd =
   let ext =
-    Arg.(value & flag & info [ "extensions"; "x" ] ~doc:"Also run the X1..X3 extensions.")
+    Arg.(value & flag & info [ "extensions"; "x" ] ~doc:"Also run the X1..X8 extensions.")
   in
   let checkpoint =
     Arg.(value & opt (some string) None
@@ -326,13 +335,15 @@ let faults_cmd =
   let seed_arg =
     Arg.(value & opt int64 2027L
         & info [ "seed" ] ~docv:"N"
-            ~doc:"Seed choosing where in each driver's run the fault lands.")
+            ~doc:"Seed choosing where in each row's run the fault lands.")
   in
   let json_arg =
     Arg.(value & opt (some string) None
         & info [ "json" ] ~docv:"FILE"
-            ~doc:"Write the campaign report (per site: hits, injections, \
-                  retries, degradations, outcome) to $(docv) as JSON.")
+            ~doc:"Write the campaign report (per row: armed sites, hits, \
+                  injections, checks, retries, degradations, outcome; \
+                  injections per catalog pair; the ok gate) to $(docv) as \
+                  JSON.")
   in
   let list_arg =
     Arg.(value & flag
@@ -342,9 +353,12 @@ let faults_cmd =
                   running the campaign.")
   in
   let doc =
-    "Run the deterministic fault-injection campaign: every registered fault \
-     site is injected at least once and must recover, degrade, or fail with \
-     a typed diagnostic."
+    "Run the deterministic fault campaign: flow drivers and a real daemon \
+     under armed fault sites, a SIGKILL mid-workload, and vanishing, \
+     stalling and flooding clients. Every row must recover, degrade, or \
+     fail with a typed diagnostic, its checks (store validates, warm \
+     restart replays byte-identically) must hold, and every catalog \
+     (site, kind) pair must be injected; exits non-zero otherwise."
   in
   Cmd.v (Cmd.info "faults" ~doc)
     Term.(const (fun obs list seed json ->
@@ -487,7 +501,7 @@ let check_cmd =
   let ids =
     Arg.(value & pos_all string []
         & info [] ~docv:"ID"
-            ~doc:"Experiment ids to check (default: E1..E10).")
+            ~doc:"Experiment ids to check (default: E1..E11).")
   in
   let strict =
     Arg.(value & flag
@@ -930,11 +944,11 @@ let cache_stats store =
   match Dse_cache.inspect_store store with
   | Dse_cache.Store i ->
       Printf.printf
-        "%s: %d entries (%d records), %d segment%s, generation %d, %s, flow %s%s\n"
+        "%s: %d entries (%d records), %d segment%s, generation %d, flow %s%s\n"
         store i.Dse_cache.si_entries i.Dse_cache.si_records
         i.Dse_cache.si_segments
         (if i.Dse_cache.si_segments = 1 then "" else "s")
-        i.Dse_cache.si_generation i.Dse_cache.si_format i.Dse_cache.si_flow
+        i.Dse_cache.si_generation i.Dse_cache.si_flow
         (if i.Dse_cache.si_flow = Gap_dse.Eval.flow_version then ""
          else Printf.sprintf " (stale; current is %s, reads as cold)"
                 Gap_dse.Eval.flow_version);
@@ -958,7 +972,8 @@ let store_arg =
   Arg.(value & opt string default_store
       & info [ "store" ] ~docv:"PATH"
           ~doc:"Persistent result-cache store: an append-only checksummed \
-                segment-store directory (legacy JSON stores migrate on open).")
+                segment-store directory (a file at the path loads cold and \
+                is replaced on the first write).")
 
 let no_store_arg =
   Arg.(value & flag
@@ -1266,49 +1281,6 @@ let bench_cmd =
   let doc = "Load benchmarks (see also the bechamel harness under bench/)." in
   Cmd.group (Cmd.info "bench" ~doc) [ serve ]
 
-(* --- chaos: the serve crash/fault campaign --- *)
-
-let run_chaos_serve json_path =
-  let campaign = Gap_serve.Chaos.run () in
-  print_string (Gap_serve.Chaos.table campaign);
-  if campaign.Gap_serve.Chaos.missing_sites <> [] then
-    Printf.eprintf "coverage gap: catalog site(s) %s claimed by neither campaign\n"
-      (String.concat ", " campaign.Gap_serve.Chaos.missing_sites);
-  Option.iter
-    (fun path ->
-      Gap_util.Atomic_io.write_string path
-        (Gap_obs.Json.to_string ~pretty:true (Gap_serve.Chaos.to_json campaign)
-        ^ "\n"))
-    json_path;
-  if campaign.Gap_serve.Chaos.ok then 0
-  else begin
-    Printf.eprintf "chaos: scenario failures or coverage gaps (see table)\n";
-    1
-  end
-
-let chaos_cmd =
-  let serve =
-    let json_arg =
-      Arg.(value & opt (some string) None
-          & info [ "json" ] ~docv:"FILE"
-              ~doc:"Write the campaign document (scenarios, coverage \
-                    partition, ok gate) to $(docv) as JSON.")
-    in
-    let doc =
-      "Run the serve chaos campaign: SIGKILL a serving process mid-workload, \
-       truncate a store at every byte offset, corrupt records before the \
-       tail, arm every daemon-reachable fault site, interrupt a JSON \
-       migration, and abuse the daemon with vanishing, stalling, and \
-       flooding clients — asserting after each that the store validates and \
-       a warm restart replays byte-identically."
-    in
-    Cmd.v (Cmd.info "serve" ~doc)
-      Term.(const (fun obs json -> with_obs obs (fun () -> run_chaos_serve json))
-            $ obs_term $ json_arg)
-  in
-  let doc = "Crash/fault chaos campaigns." in
-  Cmd.group (Cmd.info "chaos" ~doc) [ serve ]
-
 (* --- fpga-gap: the three-way FPGA / ASIC / custom measurement (E11) --- *)
 
 let run_fpga_gap vectors json_path =
@@ -1367,6 +1339,6 @@ let main =
     [ list_cmd; run_cmd; all_cmd; resume_cmd; faults_cmd; analysis_cmd;
       check_cmd; dump_cmd; libdump_cmd; validate_json_cmd;
       sweep_cmd; pareto_cmd; cache_cmd; report_cmd; export_trace_cmd;
-      serve_cmd; bench_cmd; chaos_cmd; fpga_gap_cmd ]
+      serve_cmd; bench_cmd; fpga_gap_cmd ]
 
 let () = exit (Cmd.eval' main)

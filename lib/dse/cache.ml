@@ -11,9 +11,9 @@ type entry = {
 }
 
 (* Where the persistent side lives. [Lazy_store] defers touching the disk
-   until the first flush — a cache that never flushes never writes, exactly
-   like the old JSON store — and is also the holding state for a foreign or
-   stale-flow legacy file that the first flush replaces. *)
+   until the first flush — a cache that never flushes never writes — and is
+   also the holding state for a foreign file that the first flush
+   replaces. *)
 type backend =
   | Mem
   | Seg of Segstore.t
@@ -46,7 +46,6 @@ type store_info = {
   si_segments : int;
   si_generation : int;
   si_flow : string;
-  si_format : string;
   si_torn : string option;
 }
 
@@ -55,68 +54,6 @@ type store_status =
   | Missing of string
   | Foreign of string
   | Corrupt of Stage_error.t
-
-(* --- the legacy JSON document (read for migration, written by tests) --- *)
-
-let store_version = 1
-
-let entry_json e =
-  Json.Obj
-    [
-      ("key", Json.Str e.e_key);
-      ("point", Space.point_json e.e_point);
-      ("metrics", Eval.to_json e.e_metrics);
-    ]
-
-let entry_of_json j =
-  match (Json.member "key" j, Json.member "point" j, Json.member "metrics" j) with
-  | Some (Json.Str key), Some pj, Some mj -> (
-      match (Space.point_of_json pj, Eval.of_json mj) with
-      | Ok p, Ok m -> Some { e_key = key; e_point = p; e_metrics = m; e_tick = 0 }
-      | _ -> None)
-  | _ -> None
-
-let legacy_store_json entries =
-  Json.Obj
-    [
-      ("version", Json.Int store_version);
-      ("flow", Json.Str Eval.flow_version);
-      ("entries", Json.List (List.map entry_json entries));
-    ]
-
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      Some s
-
-let parse_legacy s =
-  match Json.of_string s with
-  | Error e -> Error e
-  | Ok j -> (
-      match
-        (Json.member "version" j, Json.member "flow" j, Json.member "entries" j)
-      with
-      | Some (Json.Int v), Some (Json.Str flow), Some (Json.List es)
-        when v = store_version ->
-          Ok (flow, List.filter_map entry_of_json es)
-      | Some (Json.Int v), _, _ when v <> store_version ->
-          Error (Printf.sprintf "store version %d, expected %d" v store_version)
-      | _ -> Error "malformed cache store")
-
-let write_legacy_json path pms =
-  let entries =
-    List.map
-      (fun (p, m) ->
-        { e_key = Key.of_point p; e_point = p; e_metrics = m; e_tick = 0 })
-      pms
-    |> List.sort (fun a b -> String.compare a.e_key b.e_key)
-  in
-  Gap_util.Atomic_io.write_string path
-    (Json.to_string ~pretty:true (legacy_store_json entries) ^ "\n")
 
 (* --- segment-record payloads --- *)
 
@@ -174,38 +111,6 @@ let evict_lru t =
       Obs.incr "dse.cache.evict"
   | None -> ()
 
-let migrate_tmp path = path ^ ".migrate"
-
-(* Build a complete segment store from legacy entries at [path ^ ".migrate"],
-   then swap it into place. The file is unlinked only after the replacement
-   store fully exists; a kill between unlink and rename is recovered by
-   [resume_migration] on the next open. *)
-let migrate_json path entries =
-  Obs.incr "dse.cache.migrations";
-  Obs.event "dse.cache.migrate"
-    [ ("store", Json.Str path); ("entries", Json.Int (List.length entries)) ];
-  let tmp = migrate_tmp path in
-  let rec rm_rf p =
-    if Sys.file_exists p then
-      if Sys.is_directory p then begin
-        Array.iter (fun n -> rm_rf (Filename.concat p n)) (Sys.readdir p);
-        (try Unix.rmdir p with Unix.Unix_error _ -> ())
-      end
-      else try Sys.remove p with Sys_error _ -> ()
-  in
-  rm_rf tmp;
-  let s, _, _ = Segstore.open_store ~flow:Eval.flow_version tmp in
-  List.iter (fun e -> Segstore.append s ~key:e.e_key (payload_of_entry e)) entries;
-  Segstore.close s;
-  (try Sys.remove path with Sys_error _ -> ());
-  Sys.rename tmp path
-
-let resume_migration path =
-  (* a kill after the legacy file was unlinked but before the rename: the
-     finished replacement store is still parked at the temp path *)
-  if (not (Sys.file_exists path)) && Segstore.is_store (migrate_tmp path) then
-    Sys.rename (migrate_tmp path) path
-
 let create ?(capacity = 4096) ?store () =
   let t =
     {
@@ -224,8 +129,7 @@ let create ?(capacity = 4096) ?store () =
   (match store with
   | None -> ()
   | Some path ->
-      resume_migration path;
-      let open_seg () =
+      if Sys.file_exists path && Sys.is_directory path then begin
         let s, records, note = Segstore.open_store ~flow:Eval.flow_version path in
         t.recovery_note <- note;
         List.iter
@@ -237,24 +141,13 @@ let create ?(capacity = 4096) ?store () =
           evict_lru t
         done;
         t.backend <- Seg s
-      in
-      if Sys.file_exists path && Sys.is_directory path then open_seg ()
-      else
-        match Option.bind (if Sys.file_exists path then Some path else None) read_file with
-        | None -> t.backend <- Lazy_store path
-        | Some doc -> (
-            match parse_legacy doc with
-            | Ok (flow, entries) when flow = Eval.flow_version ->
-                (* a healthy legacy JSON store: migrate it on first open *)
-                migrate_json path
-                  (List.filteri (fun i _ -> i < t.capacity) entries);
-                open_seg ()
-            | Ok _ | Error _ ->
-                (* stale flow version or a foreign/corrupt document: start
-                   cold; the first flush replaces it with a segment store
-                   at the current flow *)
-                t.backend <- Lazy_store path;
-                t.dirty <- true));
+      end
+      else begin
+        (* nothing there yet, or a foreign file: start cold; the first flush
+           replaces a foreign file with a segment store at the current flow *)
+        t.backend <- Lazy_store path;
+        t.dirty <- Sys.file_exists path
+      end);
   t
 
 let recovery_note t = t.recovery_note
@@ -411,7 +304,9 @@ let clear path =
 
 let inspect_store path =
   if not (Sys.file_exists path) then Missing (path ^ ": no such store")
-  else if Sys.is_directory path then
+  else if not (Sys.is_directory path) then
+    Foreign (path ^ ": a file, not a segment-store directory")
+  else
     match Segstore.validate path with
     | Error e -> Corrupt e
     | Ok i ->
@@ -422,24 +317,5 @@ let inspect_store path =
             si_segments = i.Segstore.i_segments;
             si_generation = i.Segstore.i_generation;
             si_flow = i.Segstore.i_flow;
-            si_format = "segment";
             si_torn = i.Segstore.i_torn;
           }
-  else
-    match read_file path with
-    | None -> Missing (path ^ ": unreadable")
-    | Some doc -> (
-        match parse_legacy doc with
-        | Ok (flow, entries) ->
-            let n = List.length entries in
-            Store
-              {
-                si_entries = n;
-                si_records = n;
-                si_segments = 0;
-                si_generation = 0;
-                si_flow = flow;
-                si_format = "json-legacy";
-                si_torn = None;
-              }
-        | Error e -> Foreign (path ^ ": " ^ e))

@@ -12,10 +12,8 @@
 
     A store whose recorded flow version differs from {!Eval.flow_version}
     loads as empty (stale results are invisible, not wrong) and is reset to
-    the current flow on the next flush. A legacy JSON store (pre-segment
-    format) at the path is migrated into a segment store on first open; a
-    foreign or unparsable file loads cold and is replaced on the first
-    flush.
+    the current flow on the next flush. Any file at the path — the store is
+    always a directory — loads cold and is replaced on the first flush.
 
     Lookups and insertions feed the [dse.cache.hit] / [dse.cache.miss] /
     [dse.cache.store] / [dse.cache.evict] counters through [Gap_obs], and
@@ -36,9 +34,8 @@ type stats = {
 val create : ?capacity:int -> ?store:string -> unit -> t
 (** [capacity] bounds the in-memory LRU (default 4096; the store's live set
     holds at most the same entries). With [store] the path is opened
-    immediately: a segment-store directory is recovered and replayed, a
-    current-flow legacy JSON file is migrated in place, and a missing,
-    foreign, or stale-flow path loads as empty.
+    immediately: a segment-store directory is recovered and replayed, and a
+    missing, foreign, or stale-flow path loads as empty.
 
     @raise Gap_resilience.Stage_error.Stage_failure ([Storage_fault]) when
     an existing segment store is corrupt before its recoverable tail. *)
@@ -80,7 +77,7 @@ val hit_rate : stats -> float
 
 val clear : string -> unit
 (** Reset the store at [path] to an empty fresh generation (replacing any
-    legacy JSON file there). *)
+    foreign file there). *)
 
 (** {1 On-disk inspection} *)
 
@@ -90,20 +87,15 @@ type store_info = {
   si_segments : int;
   si_generation : int;
   si_flow : string;
-  si_format : string;  (** ["segment"] or ["json-legacy"] *)
   si_torn : string option;  (** unrecovered torn tail, if the scan saw one *)
 }
 
 type store_status =
   | Store of store_info
   | Missing of string
-  | Foreign of string  (** a file that parses as none of our formats *)
+  | Foreign of string  (** a file where a segment-store directory belongs *)
   | Corrupt of Gap_resilience.Stage_error.t
 
 val inspect_store : string -> store_status
 (** Read-only look at whatever lives at [path], without building a cache —
     the [repro cache stats] backend. Never writes, never raises. *)
-
-val write_legacy_json : string -> (Space.point * Eval.metrics) list -> unit
-(** Write a store in the pre-segment JSON format — the migration tests' and
-    chaos campaign's fixture generator. *)

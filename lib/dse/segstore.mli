@@ -96,4 +96,4 @@ val is_store : string -> bool
 (** The path is a directory containing a MANIFEST. *)
 
 val manifest_name : string
-(** ["MANIFEST"] — exposed for the chaos campaign's file surgery. *)
+(** ["MANIFEST"] — exposed for the tests' file surgery. *)

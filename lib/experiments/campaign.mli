@@ -3,8 +3,7 @@
 
     This module is the engine behind [repro all --checkpoint], [repro
     resume] and [repro faults]; it lives in the library (not the CLI) so
-    the property tests can drive kill+resume and fault campaigns in
-    process. *)
+    the property tests can drive kill+resume in process. *)
 
 (** {1 Checkpointed experiment runs} *)
 
@@ -55,43 +54,79 @@ val output : run_outcome list -> string
 val all_passed : run_outcome list -> bool
 (** No [Failed] outcome and every row of every experiment in range. *)
 
-(** {1 The fault campaign} *)
+(** {1 The fault campaign}
+
+    One scenario table covers the flow and the daemon. A row arms zero or
+    more (site, kind) pairs of {!Gap_resilience.Fault.catalog} and runs its
+    body: a small flow driver under a supervisor (synthesis, placement,
+    a gated annotate+STA, the FPGA backend, a 4-domain Monte Carlo), or a
+    daemon or store wrecked on purpose (SIGKILL mid-workload, armed
+    [segstore]/[serve]/[dse] sites, vanishing, stalling and flooding
+    clients) followed by its checks — where it keeps a store, the
+    crash-only ones: the store validates and a warm restart answers
+    byte-identically to a never-killed evaluator.
+    Coverage is measured, not declared: a catalog pair no row injected
+    fails the gate. *)
 
 type fault_outcome =
+  | Passed  (** an unarmed row: every check ran and held *)
   | Recovered  (** the supervisor retried the stage and it completed *)
   | Degraded
       (** a fallback path absorbed the fault (best-so-far placement,
-          sequential Monte Carlo) and the driver completed *)
+          sequential Monte Carlo, orphaned pool slots re-run) *)
   | Failed_typed of Gap_resilience.Stage_error.t
       (** the driver failed, but with a typed diagnostic — acceptable *)
   | Silent  (** the fault fired yet nothing recovered or complained — a bug *)
-  | Uncaught of string  (** an unclassified exception escaped — a bug *)
-  | Not_exercised  (** the driver never reached the site — a campaign bug *)
+  | Uncaught of string  (** an exception escaped the row — a bug *)
+  | Not_exercised
+      (** an armed pair was never injected, or an unarmed row ran no
+          check — a campaign bug *)
+  | Check_failed of string  (** one of the row's assertions failed — a bug *)
 
-type site_result = {
+type arm = {
   site : string;
   kind : Gap_resilience.Stage_error.fault_kind;
-  driver : string;
-  hits : int;  (** times the driver reached the site *)
+  skip : int;  (** hits let pass before the injection, drawn from the seed *)
+  hits : int;  (** times the row reached the site *)
   injected : int;  (** faults actually fired *)
-  retries : int;  (** supervisor retries recorded during the run *)
-  degraded : int;  (** degradation events recorded during the run *)
+}
+
+type row_result = {
+  row : string;
+  arms : arm list;  (** empty for a row that arms no site *)
+  checks : int;  (** assertions that ran (and held, unless [Check_failed]) *)
+  retries : int;  (** supervisor retries recorded during the row *)
+  degraded : int;  (** degradation events recorded during the row *)
   outcome : fault_outcome;
 }
 
 val outcome_string : fault_outcome -> string
 
-val run_faults : ?seed:int64 -> unit -> site_result list
-(** Inject every (site, kind) of {!Gap_resilience.Fault.catalog} into a
-    small deterministic driver that reaches it, one fault per run, and
-    classify what happened. [seed] (default 2027) picks each spec's [skip]
-    deterministically, so faults land mid-run, not only at the first hit. *)
+val outcome_detail : fault_outcome -> string
+(** {!outcome_string} plus the error or failed check, if any. *)
 
-val faults_ok : site_result list -> bool
-(** Every site exercised and injected, and no [Silent]/[Uncaught]. *)
+val outcome_ok : fault_outcome -> bool
+(** [Passed], [Recovered], [Degraded] or [Failed_typed]. *)
 
-val faults_json : seed:int64 -> site_result list -> Gap_obs.Json.t
-(** The [FAULTS_report.json] document: per-site results plus totals. *)
+val run_faults : ?seed:int64 -> unit -> row_result list
+(** Run every row in table order, each under its own fault plan and
+    telemetry recorder. [seed] (default 2027) picks each armed spec's
+    [skip] within the row's bound, so faults land mid-run, not only at the
+    first hit. Forks once (the first row), so call it before the process
+    spawns a domain. Never raises: damage is confined to scratch
+    directories and in-process daemons. *)
 
-val faults_table : site_result list -> string
-(** Human-readable summary table. *)
+val uncovered :
+  row_result list -> (string * Gap_resilience.Stage_error.fault_kind) list
+(** Catalog (site, kind) pairs that no row injected. *)
+
+val faults_ok : row_result list -> bool
+(** Every row's outcome is acceptable and every catalog pair was
+    injected. *)
+
+val faults_json : seed:int64 -> row_result list -> Gap_obs.Json.t
+(** The [FAULTS_report.json] document: per-row results, injections per
+    catalog pair, totals and the [ok] gate. *)
+
+val faults_table : row_result list -> string
+(** Human-readable table, one line per row. *)

@@ -28,11 +28,11 @@ type report = {
 
 val catalog : (string * Stage_error.fault_kind list * string) list
 (** Every registered injection site as [(site, applicable kinds,
-    description)]. The fault campaign ([repro faults]) iterates this; a site
-    instrumented in the flow but missing here will never be exercised, so
-    keep the two in sync. [repro faults --list] prints it verbatim, and the
-    serve chaos campaign asserts it exercised every site it declares
-    reachable from the daemon. *)
+    description)]. The fault campaign ([repro faults]) measures its
+    coverage against this list: it fails unless some row injected every
+    (site, kind) pair here. A site instrumented in the flow but missing
+    here is never checked, so keep the two in sync. [repro faults --list]
+    prints it verbatim. *)
 
 val layer : string -> string
 (** The site's owning layer: the prefix before the first ['.']

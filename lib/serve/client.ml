@@ -73,8 +73,12 @@ let connect_retry ?(base_delay_s = 0.01) ?(max_delay_s = 0.5) ?(deadline_s = 5.0
   go 0
 
 let close t =
-  close_out_noerr t.oc;
-  close_in_noerr t.ic
+  (* both channels wrap the one socket: close it once, through [oc], which
+     flushes. Closing [ic] too would close the descriptor number a second
+     time, and in a threaded process that number may already belong to a
+     socket another thread was just handed — an in-process daemon's newly
+     accepted connection, which then dies with EBADF. *)
+  close_out_noerr t.oc
 
 let send_line t line =
   output_string t.oc line;

@@ -48,8 +48,8 @@ val raw_roundtrip : t -> string -> (string, string) result
     protocol-abuse tests. *)
 
 val send_line : t -> string -> unit
-(** Send one line without reading a response — for chaos scenarios that
-    hang up mid-request. *)
+(** Send one line without reading a response — for the fault campaign's
+    clients that hang up mid-request. *)
 
 val send_raw : t -> string -> unit
 (** Send bytes with no newline — an unterminated request for the same

@@ -26,11 +26,7 @@ let rec rm_rf path =
 let with_tmp_store f =
   let path = Filename.temp_file "gap_dse_test" ".store" in
   Sys.remove path;
-  Fun.protect
-    ~finally:(fun () ->
-      rm_rf path;
-      rm_rf (path ^ ".migrate"))
-    (fun () -> f path)
+  Fun.protect ~finally:(fun () -> rm_rf path) (fun () -> f path)
 
 (* the (entries, flow) view of the on-disk store the old JSON read_store
    gave; fails the test on anything but a healthy store *)
@@ -274,12 +270,50 @@ let test_pre_backend_store_not_served () =
       Alcotest.(check bool) "fpga point also cold" true
         (Cache.find c2 fpga_point = None))
 
+(* a file where the store directory belongs loads cold and the first flush
+   replaces it: garbage, and a well-formed current-flow document in the
+   retired JSON store format alike *)
 let test_cache_corrupt_store_reads_cold () =
-  with_tmp_store (fun path ->
-      Gap_util.Atomic_io.write_string path "{not json";
-      let c = Cache.create ~store:path () in
-      Alcotest.(check int) "corrupt store loads empty" 0
-        (Cache.stats c).Cache.entries)
+  let old = { Space.baseline with Space.depth = 2 } in
+  let json_store =
+    Json.to_string ~pretty:true
+      (Json.Obj
+         [
+           ("version", Json.Int 1);
+           ("flow", Json.Str Eval.flow_version);
+           ( "entries",
+             Json.List
+               [
+                 Json.Obj
+                   [
+                     ("key", Json.Str (Key.of_point old));
+                     ("point", Space.point_json old);
+                     ("metrics", Eval.to_json (Eval.point old));
+                   ];
+               ] );
+         ])
+  in
+  List.iter
+    (fun (what, doc) ->
+      with_tmp_store (fun path ->
+          Gap_util.Atomic_io.write_string path doc;
+          let c = Cache.create ~store:path () in
+          Alcotest.(check int) (what ^ " loads empty") 0 (Cache.stats c).Cache.entries;
+          Alcotest.(check bool) (what ^ " serves nothing") true (Cache.find c old = None);
+          (match Cache.inspect_store path with
+          | Cache.Foreign _ -> ()
+          | _ -> Alcotest.fail (what ^ " not reported as foreign"));
+          Cache.add c Space.baseline (Eval.point Space.baseline);
+          Cache.flush c;
+          let n, flow = store_summary path in
+          Alcotest.(check int) (what ^ " replaced by the new entry alone") 1 n;
+          Alcotest.(check string) (what ^ " replaced at the current flow") Eval.flow_version flow;
+          let c2 = Cache.create ~store:path () in
+          Alcotest.(check bool) (what ^ ": new entry reloads") true
+            (Cache.find c2 Space.baseline <> None);
+          Alcotest.(check bool) (what ^ ": old entry stays gone") true
+            (Cache.find c2 old = None)))
+    [ ("corrupt store", "{not json"); ("JSON-format store", json_store) ]
 
 (* --- pool --- *)
 

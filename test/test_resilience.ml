@@ -1,9 +1,10 @@
 (* Gap_resilience: typed stage errors, deterministic fault injection,
    supervised retries/deadlines, atomic artifact writes, and
-   checkpoint/resume. The two properties that matter: every injected fault
-   at every registered site either recovers or surfaces a typed diagnostic
-   (never an uncaught exception), and a killed campaign resumed from its
-   checkpoint produces byte-identical final output. *)
+   checkpoint/resume. The property that matters here: a killed campaign
+   resumed from its checkpoint produces byte-identical final output. The
+   other one — every catalog fault either recovers or surfaces a typed
+   diagnostic — is the exit status of [repro faults], which test/dune runs
+   in its own process. *)
 
 module Stage_error = Gap_resilience.Stage_error
 module Fault = Gap_resilience.Fault
@@ -416,44 +417,6 @@ let test_checkpoint_missing () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing file must not load"
 
-(* --- the property the whole PR exists for: every registered site,
-   injected, never silent and never uncaught --- *)
-
-let test_fault_campaign () =
-  let results = Campaign.run_faults ~seed:1L () in
-  Alcotest.(check bool) "campaign passes" true (Campaign.faults_ok results);
-  (* all catalog sites are exercised *)
-  List.iter
-    (fun (site, kinds, _) ->
-      List.iter
-        (fun kind ->
-          match
-            List.find_opt
-              (fun (r : Campaign.site_result) -> r.site = site && r.kind = kind)
-              results
-          with
-          | None -> Alcotest.failf "site %s not in campaign" site
-          | Some r ->
-              Alcotest.(check bool)
-                (site ^ " injected at least once")
-                true (r.Campaign.injected > 0);
-              Alcotest.(check bool)
-                (site ^ " never silent or uncaught")
-                true
-                (match r.Campaign.outcome with
-                | Campaign.Recovered | Campaign.Degraded
-                | Campaign.Failed_typed _ ->
-                    true
-                | Campaign.Silent | Campaign.Uncaught _
-                | Campaign.Not_exercised ->
-                    false))
-        kinds)
-    Fault.catalog;
-  (* the report document is valid JSON *)
-  match Json.of_string (Json.to_string (Campaign.faults_json ~seed:1L results)) with
-  | Ok _ -> ()
-  | Error m -> Alcotest.failf "faults json malformed: %s" m
-
 (* --- kill + resume is byte-identical --- *)
 
 let test_kill_resume_identity () =
@@ -504,7 +467,6 @@ let suite =
     Alcotest.test_case "corrupt parasitic is typed" `Quick test_corrupt_parasitic_typed;
     Alcotest.test_case "checkpoint round-trip + version gate" `Quick test_checkpoint_roundtrip;
     Alcotest.test_case "checkpoint missing file" `Quick test_checkpoint_missing;
-    Alcotest.test_case "fault campaign: no silent, no uncaught" `Quick test_fault_campaign;
     Alcotest.test_case "kill + resume byte-identical" `Quick test_kill_resume_identity;
     Alcotest.test_case "supervision is render-neutral" `Quick test_supervised_render_identity;
   ]

@@ -1,7 +1,8 @@
 (* Tests for Gap_dse.Segstore: record framing, crash recovery (truncation at
    every byte offset), typed corruption, compaction atomicity, flow staleness.
-   The serve chaos campaign re-runs the same matrix against live daemons;
-   this suite keeps the contract pinned at tier-1 speed. *)
+   All byte-level store surgery lives here; the daemon-level crash checks
+   (SIGKILL mid-workload, armed store sites, warm-restart identity) are rows
+   of the [repro faults] campaign. *)
 
 module Segstore = Gap_dse.Segstore
 module Stage_error = Gap_resilience.Stage_error
@@ -68,12 +69,20 @@ let test_roundtrip_append_order () =
       Alcotest.(check int) "distinct keys" 3 i.Segstore.i_keys;
       Alcotest.(check string) "flow" "flow-a" i.Segstore.i_flow)
 
+(* record sizes chosen so cuts land in every frame field *)
+let varied_records =
+  List.init 6 (fun i ->
+      ( Printf.sprintf "key-%02d" i,
+        String.init (17 + (13 * i)) (fun j -> Char.chr (32 + ((i + (7 * j)) mod 95)))
+      ))
+
 (* Truncate the single segment at EVERY byte offset: recovery must keep
    exactly the longest whole-record prefix, reporting a torn note iff the
-   cut is not at a record boundary. *)
-let test_truncation_matrix () =
+   cut is not at a record boundary. At sampled cuts, reopening truncates
+   the tear, returns that prefix byte-identically, and appends cleanly. *)
+let truncation_matrix records =
   with_store (fun path ->
-      fill path "flow-a" sample_records;
+      fill path "flow-a" records;
       let seg =
         match expect_info path with
         | { Segstore.i_segments = 1; _ } -> (
@@ -96,7 +105,7 @@ let test_truncation_matrix () =
           | (k, v) :: rest ->
               go (off :: acc) (off + record_size ~key:k ~data:v) rest
         in
-        go [] 0 sample_records
+        go [] 0 records
       in
       Alcotest.(check int)
         "framing arithmetic matches the file" len
@@ -106,7 +115,7 @@ let test_truncation_matrix () =
         let whole = List.filter (fun b -> b <= cut) boundaries in
         let expected_records = List.length whole - 1 in
         let at_boundary = List.mem cut boundaries in
-        match Segstore.validate path with
+        (match Segstore.validate path with
         | Error e ->
             Alcotest.fail
               (Printf.sprintf "cut at %d: %s" cut (Stage_error.to_string e))
@@ -117,48 +126,93 @@ let test_truncation_matrix () =
             Alcotest.(check bool)
               (Printf.sprintf "cut at %d torn note iff mid-record" cut)
               (not at_boundary)
-              (i.Segstore.i_torn <> None)
-      done;
-      (* recovery after a mid-record cut truncates, then appends cleanly *)
-      write_file seg_path (String.sub pristine 0 (len - 3));
-      let t, loaded, note = Segstore.open_store ~flow:"flow-a" path in
-      Alcotest.(check int) "torn tail dropped" 2 (List.length loaded);
-      Alcotest.(check bool) "recovery note reported" true (note <> None);
-      Segstore.append t ~key:"delta" "after-recovery";
-      Segstore.close t;
-      let i = expect_info path in
-      Alcotest.(check int) "appended past the scar" 3 i.Segstore.i_records;
-      Alcotest.(check bool) "scar healed" true (i.Segstore.i_torn = None))
+              (i.Segstore.i_torn <> None));
+        if cut mod 37 = 3 || cut = len - 3 then begin
+          let t, loaded, note = Segstore.open_store ~flow:"flow-a" path in
+          Alcotest.(check (list (pair string string)))
+            (Printf.sprintf "cut at %d: reopen keeps the prefix" cut)
+            (List.filteri (fun i _ -> i < expected_records) records)
+            loaded;
+          Alcotest.(check bool)
+            (Printf.sprintf "cut at %d: recovery note iff mid-record" cut)
+            (not at_boundary) (note <> None);
+          Segstore.append t ~key:"post-tear" "after-recovery";
+          Segstore.close t;
+          let i = expect_info path in
+          Alcotest.(check int)
+            (Printf.sprintf "cut at %d: appended past the scar" cut)
+            (expected_records + 1) i.Segstore.i_records;
+          Alcotest.(check bool)
+            (Printf.sprintf "cut at %d: scar healed" cut)
+            true (i.Segstore.i_torn = None)
+        end
+      done)
+
+let test_truncation_matrix () =
+  truncation_matrix sample_records;
+  truncation_matrix varied_records
 
 let test_corrupt_byte_is_typed () =
   with_store (fun path ->
-      fill path "flow-a" sample_records;
-      let t, _, _ = Segstore.open_store ~flow:"flow-a" path in
+      (* the current flow, so that Cache.create scans the records too *)
+      let flow = Gap_dse.Eval.flow_version in
+      let data = String.make 40 'x' in
+      fill path flow (List.init 4 (fun i -> (Printf.sprintf "ck-%d" i, data)));
+      let t, _, _ = Segstore.open_store ~flow path in
       let seg = List.hd (Segstore.segment_names t) in
       Segstore.close t;
       let seg_path = Filename.concat path seg in
       let pristine = read_file seg_path in
-      (* flip a payload byte of record 0: a defect before the tail *)
-      let b = Bytes.of_string pristine in
-      let pos = 9 + 2 + 2 in
-      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x5A));
-      write_file seg_path (Bytes.to_string b);
-      (match Segstore.validate path with
-      | Ok _ -> Alcotest.fail "pre-tail corruption validated as clean"
-      | Error (Stage_error.Storage_fault f) ->
-          Alcotest.(check string) "fault names the segment" seg f.segment;
-          Alcotest.(check int) "fault names the record offset" 0 f.offset;
-          Alcotest.(check string)
-            "fault is the checksum" "record checksum mismatch" f.detail
-      | Error e ->
-          Alcotest.fail ("wrong error type: " ^ Stage_error.to_string e));
-      (* open_store raises the same typed failure *)
-      (match Segstore.open_store ~flow:"flow-a" path with
-      | _ -> Alcotest.fail "corrupt store opened"
-      | exception Stage_error.Stage_failure (Stage_error.Storage_fault f) ->
-          Alcotest.(check string) "open names the segment" seg f.segment);
+      let rec_len = record_size ~key:"ck-0" ~data in
+      let flip pos =
+        let b = Bytes.of_string pristine in
+        Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x5A));
+        write_file seg_path (Bytes.to_string b)
+      in
+      (* a defect before the tail, wherever it lands in a frame, is a typed
+         fault naming the segment and the defective record's offset *)
+      List.iter
+        (fun (what, pos, offset, detail) ->
+          flip pos;
+          (match Segstore.validate path with
+          | Ok _ -> Alcotest.fail (what ^ ": pre-tail corruption validated as clean")
+          | Error (Stage_error.Storage_fault f) ->
+              Alcotest.(check string) (what ^ ": fault names the segment") seg f.segment;
+              Alcotest.(check int) (what ^ ": fault names the record offset") offset f.offset;
+              Alcotest.(check string) (what ^ ": fault detail") detail f.detail
+          | Error e ->
+              Alcotest.fail (what ^ ": wrong error type: " ^ Stage_error.to_string e));
+          (* opening for use raises the same typed failure, directly and
+             through the result cache *)
+          (match Segstore.open_store ~flow path with
+          | _ -> Alcotest.fail (what ^ ": corrupt store opened")
+          | exception Stage_error.Stage_failure (Stage_error.Storage_fault f) ->
+              Alcotest.(check string) (what ^ ": open names the segment") seg f.segment);
+          (match Gap_dse.Cache.create ~store:path () with
+          | _ -> Alcotest.fail (what ^ ": cache accepted a corrupt store")
+          | exception Stage_error.Stage_failure (Stage_error.Storage_fault f) ->
+              Alcotest.(check string) (what ^ ": cache names the segment") seg f.segment);
+          write_file seg_path pristine)
+        [
+          ("payload byte of record 0", 9 + 2 + 2, 0, "record checksum mismatch");
+          ("CRC byte of record 1", rec_len + 6, rec_len, "record checksum mismatch");
+          ("magic byte of record 2", 2 * rec_len, 2 * rec_len, "bad record magic");
+          (* the low length byte: the frame stays in bounds but misaligned,
+             so the checksum catches it *)
+          ("length field of record 1", rec_len + 1, rec_len, "record checksum mismatch");
+        ];
+      (* a length that overshoots the last segment's end is indistinguishable
+         from a torn append, by construction: recovery keeps exactly the
+         records before the defect *)
+      flip (rec_len + 2);
+      let i = expect_info path in
+      Alcotest.(check int) "overshooting length keeps the prefix" 1 i.Segstore.i_records;
+      Alcotest.(check bool) "overshooting length reads as a tear" true
+        (i.Segstore.i_torn <> None);
       write_file seg_path pristine;
-      ignore (expect_info path))
+      let i = expect_info path in
+      Alcotest.(check int) "pristine store validates" 4 i.Segstore.i_records;
+      Alcotest.(check bool) "pristine store untorn" true (i.Segstore.i_torn = None))
 
 let test_flow_mismatch_reads_cold () =
   with_store (fun path ->
