@@ -14,10 +14,9 @@
    repro pareto          Pareto frontier over (delay, area, power) with the gap composite
    repro cache stats     inspect / reset the persistent DSE result cache
    repro report TRACE    analyze a JSONL trace: self-time, top-K, critical path
-   repro report --diff A B   cross-run regression diff over the history store
+   repro report --diff A B   compare two traces span by span
    repro export-trace    convert a JSONL trace to Chrome/Perfetto format
    repro serve SOCKET    the multi-client evaluation daemon
-   repro bench serve     drive an in-process daemon with concurrent clients
    repro fpga-gap        E11's three-way FPGA/ASIC/custom gap, Charm-gated *)
 
 open Cmdliner
@@ -31,8 +30,6 @@ type obs_opts = {
   metrics_json : string option;
   obs_summary : bool;
   obs_csv : string option;
-  history : string option;
-  history_label : string;
 }
 
 let obs_term =
@@ -55,42 +52,13 @@ let obs_term =
         & info [ "obs-csv" ] ~docv:"FILE"
             ~doc:"Dump the span aggregates as CSV to $(docv).")
   in
-  let history =
-    Arg.(value & opt (some string) None
-        & info [ "history" ] ~docv:"FILE"
-            ~doc:"Append a host-tagged snapshot of the run's span totals to the \
-                  $(docv) history store (one JSON line per run), for \
-                  $(b,repro report --diff).")
-  in
-  let history_label =
-    Arg.(value & opt string "repro"
-        & info [ "history-label" ] ~docv:"LABEL"
-            ~doc:"Label recorded with the $(b,--history) snapshot.")
-  in
-  Term.(const (fun trace metrics_json obs_summary obs_csv history history_label ->
-            { trace; metrics_json; obs_summary; obs_csv; history; history_label })
-        $ trace $ metrics $ summary $ csv $ history $ history_label)
-
-(* one metric per aggregated span: "<exp>:<path>.total_ns" (path alone when
-   the span ran outside any experiment); shared by --history snapshots and
-   trace-derived diff entries so the two kinds compare *)
-let span_metric_name ~exp ~path =
-  (if exp = "" then path else exp ^ ":" ^ path) ^ ".total_ns"
+  Term.(const (fun trace metrics_json obs_summary obs_csv ->
+            { trace; metrics_json; obs_summary; obs_csv })
+        $ trace $ metrics $ summary $ csv)
 
 let write_json_doc path doc =
   Gap_util.Atomic_io.write_string path
     (Gap_obs.Json.to_string ~pretty:true doc ^ "\n")
-
-let append_history_from_sink sink ~store ~label =
-  let metrics =
-    List.map
-      (fun (s : Gap_obs.Obs.span_stats) ->
-        (span_metric_name ~exp:s.Gap_obs.Obs.exp ~path:s.Gap_obs.Obs.path,
-         s.Gap_obs.Obs.total_ns))
-      (Gap_obs.Obs.spans sink)
-  in
-  Gap_obs.History.append store (Gap_obs.History.make ~label metrics);
-  Printf.eprintf "history: appended %d metrics to %s\n" (List.length metrics) store
 
 let with_obs opts f =
   if
@@ -98,7 +66,6 @@ let with_obs opts f =
     && Option.is_none opts.metrics_json
     && (not opts.obs_summary)
     && Option.is_none opts.obs_csv
-    && Option.is_none opts.history
   then f ()
   else begin
     (* every artifact goes through Atomic_io: the trace streams into a temp
@@ -116,10 +83,6 @@ let with_obs opts f =
           (fun path ->
             Gap_util.Atomic_io.write_string path (Gap_obs.Obs.spans_csv sink))
           opts.obs_csv;
-        Option.iter
-          (fun store ->
-            append_history_from_sink sink ~store ~label:opts.history_label)
-          opts.history;
         if opts.obs_summary then print_string (Gap_obs.Obs.summary sink);
         code
     | exception e ->
@@ -584,94 +547,32 @@ let libdump_cmd =
 
 module Trace = Gap_obs.Trace
 module Report = Gap_obs.Report
-module History = Gap_obs.History
 module Export = Gap_obs.Export
 
-(* a trace file diffs like a history snapshot: one metric per aggregated
-   span path, no calibration (0 = unknown, diff skips normalization) *)
-let entry_of_trace path =
+let read_analysis path =
   match Trace.read_file path with
+  | Ok tr -> Ok (Report.analyze tr)
   | Error e -> Error (Printf.sprintf "%s: %s" path e)
-  | Ok tr ->
-      let r = Report.analyze tr in
-      let metrics =
-        ("trace.wall_ns", r.Report.wall_ns)
-        :: List.map
-             (fun (n : Report.node) ->
-               ( span_metric_name ~exp:n.Report.n_exp ~path:n.Report.n_path,
-                 n.Report.n_total_ns ))
-             r.Report.nodes
-      in
-      Ok (History.make ~calibration_ns:0. ~label:path metrics)
 
 let run_report_analyze trace_path top json_path =
-  match Trace.read_file trace_path with
-  | Error e ->
-      Printf.eprintf "%s: %s\n" trace_path e;
+  match read_analysis trace_path with
+  | Error m ->
+      prerr_endline m;
       1
-  | Ok tr ->
-      let r = Report.analyze tr in
+  | Ok r ->
       print_string (Report.render ~top r);
       Option.iter (fun p -> write_json_doc p (Report.to_json ~top r)) json_path;
       0
 
-let run_report_diff a b gate history_path =
-  let entries, trunc =
-    match History.read history_path with
-    | Ok (es, t) -> (es, t)
-    | Error e ->
-        Printf.eprintf "%s: %s\n" history_path e;
-        ([], None)
-  in
-  Option.iter
-    (fun n -> Printf.eprintf "history: dropped truncated tail (%s)\n" n)
-    trunc;
-  let resolve side =
-    if Sys.file_exists side then
-      match entry_of_trace side with Ok e -> `Entry e | Error m -> `Err m
-    else
-      match History.find entries side with
-      | Some e -> `Entry e
-      | None ->
-          if (side = "prev" || side = "last") && List.length entries < 2 then
-            `Insufficient
-          else
-            `Err
-              (Printf.sprintf "%s: no such file, and not found in %s" side
-                 history_path)
-  in
-  match (resolve a, resolve b) with
-  | `Insufficient, _ | _, `Insufficient ->
-      Printf.printf
-        "history %s has %d entr%s; nothing to diff against yet\n" history_path
-        (List.length entries)
-        (if List.length entries = 1 then "y" else "ies");
-      0
-  | `Err m, _ | _, `Err m ->
+let run_report_diff a b =
+  match (read_analysis a, read_analysis b) with
+  | Error m, _ | _, Error m ->
       prerr_endline m;
       1
-  | `Entry baseline, `Entry current -> (
-      Printf.printf "diff: %s (%s) -> %s (%s)\n" baseline.History.label
-        baseline.History.meta.History.host current.History.label
-        current.History.meta.History.host;
-      let d = History.diff ~baseline ~current in
-      print_string (History.render_diff ?gate_pct:gate d);
-      match gate with
-      | None -> 0
-      | Some g ->
-          let regs = History.regressions ~gate_pct:g d in
-          if regs = [] then begin
-            Printf.printf "gate %.1f%%: ok (%d metrics compared)\n" g
-              (List.length d.History.deltas);
-            0
-          end
-          else begin
-            Printf.eprintf "gate %.1f%%: %d metric(s) regressed\n" g
-              (List.length regs);
-            1
-          end)
-
-let default_history = "BENCH_history.jsonl"
+  | Ok baseline, Ok current ->
+      Printf.printf "diff: %s -> %s\n" a b;
+      print_string (Report.render_diff (Report.diff ~baseline ~current));
+      0
 
 (* --by-stage: pipeline-stage-resolved slack from a metrics JSON document.
    Histograms are not in the JSONL trace stream, so this reads the
@@ -777,21 +678,13 @@ let report_cmd =
     Arg.(value & pos_all string []
         & info [] ~docv:"ARG"
             ~doc:"A JSONL trace file to analyze, or (with $(b,--diff)) two \
-                  sides to compare: each a trace file, or a history selector \
-                  ($(i,last), $(i,prev), $(i,@N), or a label).")
+                  trace files to compare.")
   in
   let diff_arg =
     Arg.(value & flag
         & info [ "diff" ]
-            ~doc:"Compare two runs metric-by-metric instead of analyzing one \
-                  trace; deltas are normalized by the entries' host \
-                  calibration numbers.")
-  in
-  let gate_arg =
-    Arg.(value & opt (some float) None
-        & info [ "gate" ] ~docv:"PCT"
-            ~doc:"With $(b,--diff): exit non-zero if any metric regressed by \
-                  more than $(docv) percent (normalized).")
+            ~doc:"Compare two traces span by span (total time per \
+                  experiment and span path) instead of analyzing one.")
   in
   let top_arg =
     Arg.(value & opt int 10
@@ -802,11 +695,6 @@ let report_cmd =
         & info [ "json" ] ~docv:"FILE"
             ~doc:"Write the full analysis document to $(docv) as JSON.")
   in
-  let history_arg =
-    Arg.(value & opt string default_history
-        & info [ "history" ] ~docv:"FILE"
-            ~doc:"History store consulted for $(b,--diff) selectors.")
-  in
   let by_stage_arg =
     Arg.(value & flag
         & info [ "by-stage" ]
@@ -814,7 +702,7 @@ let report_cmd =
                   metrics JSON document (a $(b,--metrics-json) artifact) \
                   instead of analyzing a trace.")
   in
-  let run args diff by_stage gate top json history =
+  let run args diff by_stage top json =
     match (diff, by_stage, args) with
     | false, true, [ metrics ] -> run_report_by_stage metrics
     | false, true, _ ->
@@ -827,19 +715,17 @@ let report_cmd =
     | false, false, _ ->
         prerr_endline "report: expected exactly one TRACE argument";
         2
-    | true, false, [ a; b ] -> run_report_diff a b gate history
+    | true, false, [ a; b ] -> run_report_diff a b
     | true, false, _ ->
         prerr_endline "report --diff: expected exactly two sides (A B)";
         2
   in
   let doc =
     "Analyze a JSONL telemetry trace (self-time attribution, top-K spans, \
-     critical path), or with $(b,--diff) compare two runs and gate on \
-     regressions."
+     critical path), or with $(b,--diff) compare two traces span by span."
   in
   Cmd.v (Cmd.info "report" ~doc)
-    Term.(const run $ args_arg $ diff_arg $ by_stage_arg $ gate_arg $ top_arg
-          $ json_arg $ history_arg)
+    Term.(const run $ args_arg $ diff_arg $ by_stage_arg $ top_arg $ json_arg)
 
 let export_trace_cmd =
   let trace_arg =
@@ -1055,7 +941,6 @@ let cache_cmd =
 
 module Serve_protocol = Gap_serve.Protocol
 module Serve_server = Gap_serve.Server
-module Serve_load = Gap_serve.Load
 
 let resolve_addr s =
   match Serve_protocol.addr_of_string s with
@@ -1064,28 +949,23 @@ let resolve_addr s =
       Printf.eprintf "%s\n" e;
       Error 124
 
-let serve_config ?(idle_timeout = 0.) addr domains store no_store capacity
-    queue_bound fair_share batch_max history =
-  {
-    (Serve_server.default_config addr) with
-    Serve_server.domains;
-    store = (if no_store then None else Some store);
-    capacity;
-    queue_bound;
-    fair_share;
-    batch_max;
-    history;
-    idle_timeout_s = (if idle_timeout > 0. then Some idle_timeout else None);
-  }
-
 let run_serve addr domains store no_store capacity queue_bound fair_share
-    batch_max history idle_timeout =
+    batch_max idle_timeout =
   match resolve_addr addr with
   | Error rc -> rc
   | Ok addr -> (
       let cfg =
-        serve_config ~idle_timeout addr domains store no_store capacity
-          queue_bound fair_share batch_max history
+        {
+          (Serve_server.default_config addr) with
+          Serve_server.domains;
+          store = (if no_store then None else Some store);
+          capacity;
+          queue_bound;
+          fair_share;
+          batch_max;
+          idle_timeout_s =
+            (if idle_timeout > 0. then Some idle_timeout else None);
+        }
       in
       let t = Serve_server.create cfg in
       match Serve_server.start t with
@@ -1119,12 +999,6 @@ let batch_max_arg =
   Arg.(value & opt int 256
       & info [ "batch-max" ] ~docv:"N" ~doc:"Max jobs per worker-pool batch.")
 
-let serve_history_arg =
-  Arg.(value & opt (some string) None
-      & info [ "history" ] ~docv:"FILE"
-          ~doc:"Append a host-tagged snapshot of the daemon's counters to \
-                $(docv) on shutdown.")
-
 let serve_cmd =
   let addr_arg =
     Arg.(required & pos 0 (some string) None
@@ -1154,132 +1028,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const run_serve
           $ addr_arg $ domains_arg $ store_arg $ no_store_arg $ capacity_arg
-          $ queue_bound_arg $ fair_share_arg $ batch_max_arg $ serve_history_arg
-          $ idle_timeout_arg)
-
-let run_bench_serve addr clients waves unique domains queue_bound fair_share
-    batch_max json_path history min_coalesce =
-  match resolve_addr addr with
-  | Error rc -> rc
-  | Ok addr -> (
-      let cfg =
-        serve_config addr domains "unused" true 65536 queue_bound fair_share
-          batch_max None
-      in
-      let t = Serve_server.create cfg in
-      match Serve_server.start t with
-      | exception Unix.Unix_error (e, _, _) ->
-          Printf.eprintf "bind %s: %s\n"
-            (Serve_protocol.addr_to_string addr)
-            (Unix.error_message e);
-          1
-      | () ->
-          let r = Serve_load.run ~clients ~waves ~unique ~addr ~server:t () in
-          Serve_server.stop t;
-          (match addr with
-          | Serve_protocol.Unix_sock path ->
-              (try Sys.remove path with Sys_error _ -> ())
-          | Serve_protocol.Tcp _ -> ());
-          let meta = Gap_obs.History.meta_now () in
-          let doc =
-            Gap_obs.Json.Obj
-              [
-                ("meta", Gap_obs.History.meta_json meta);
-                ("serve", Serve_load.to_json r);
-              ]
-          in
-          Option.iter (fun path -> write_json_doc path doc) json_path;
-          Option.iter
-            (fun store ->
-              Gap_obs.History.append store
-                (Gap_obs.History.make ~meta ~label:"bench-serve"
-                   [
-                     ("serve.p50_ns", r.Serve_load.p50_ns);
-                     ("serve.p99_ns", r.Serve_load.p99_ns);
-                     ("serve.mean_ns", r.Serve_load.mean_ns);
-                     ("serve.throughput_rps", r.Serve_load.throughput_rps);
-                     ("serve.coalesce_rate", r.Serve_load.coalesce_rate);
-                   ]))
-            history;
-          Printf.printf
-            "serve bench: %d clients, %d requests, %d errors\n\
-             latency: p50 %.3f ms, p99 %.3f ms, mean %.3f ms, max %.3f ms\n\
-             throughput: %.0f req/s over %.2f s\n\
-             server: %d evals, %d coalesced, %d cache hits, %d batches (max %d)\n\
-             coalesce rate %.3f, cache hit rate %.3f\n"
-            r.Serve_load.clients r.Serve_load.requests r.Serve_load.errors
-            (r.Serve_load.p50_ns /. 1e6)
-            (r.Serve_load.p99_ns /. 1e6)
-            (r.Serve_load.mean_ns /. 1e6)
-            (r.Serve_load.max_ns /. 1e6)
-            r.Serve_load.throughput_rps
-            (r.Serve_load.wall_ns /. 1e9)
-            r.Serve_load.server.Serve_server.evals
-            r.Serve_load.server.Serve_server.coalesced
-            r.Serve_load.server.Serve_server.cache_hits
-            r.Serve_load.server.Serve_server.batches
-            r.Serve_load.server.Serve_server.max_batch
-            r.Serve_load.coalesce_rate r.Serve_load.cache_hit_rate;
-          let rc = if r.Serve_load.errors > 0 then 1 else 0 in
-          match min_coalesce with
-          | Some m when r.Serve_load.coalesce_rate < m ->
-              Printf.eprintf
-                "bench serve: coalesce rate %.3f below required %.3f\n"
-                r.Serve_load.coalesce_rate m;
-              1
-          | _ -> rc)
-
-let bench_cmd =
-  let serve =
-    let addr_arg =
-      Arg.(value & opt string "./bench-serve.sock"
-          & info [ "addr" ] ~docv:"ADDR"
-              ~doc:"Socket the in-process daemon serves on for the run \
-                    (default a Unix socket in the working directory, removed \
-                    afterwards).")
-    in
-    let clients_arg =
-      Arg.(value & opt int 256
-          & info [ "clients" ] ~docv:"N" ~doc:"Concurrent client connections.")
-    in
-    let waves_arg =
-      Arg.(value & opt int 8
-          & info [ "waves" ] ~docv:"N"
-              ~doc:"Barrier-synchronized waves in which every client requests \
-                    the same fresh point (the coalescing path).")
-    in
-    let unique_arg =
-      Arg.(value & opt int 2
-          & info [ "unique" ] ~docv:"N"
-              ~doc:"Fresh points per client that no other client requests \
-                    (the queueing path).")
-    in
-    let json_arg =
-      Arg.(value & opt (some string) None
-          & info [ "json" ] ~docv:"FILE"
-              ~doc:"Write the benchmark document (host meta, latency \
-                    percentiles, server counters) to $(docv).")
-    in
-    let min_coalesce_arg =
-      Arg.(value & opt (some float) None
-          & info [ "min-coalesce-rate" ] ~docv:"R"
-              ~doc:"Exit non-zero unless coalesced/(coalesced+evals) reaches \
-                    $(docv) (0..1).")
-    in
-    let doc =
-      "Start an in-process daemon, drive it with hundreds of concurrent \
-       clients (synchronized waves on shared points plus per-client unique \
-       points), and report latency percentiles, throughput, and \
-       coalesce/cache effectiveness."
-    in
-    Cmd.v (Cmd.info "serve" ~doc)
-      Term.(const run_bench_serve
-            $ addr_arg $ clients_arg $ waves_arg $ unique_arg $ domains_arg
-            $ queue_bound_arg $ fair_share_arg $ batch_max_arg $ json_arg
-            $ serve_history_arg $ min_coalesce_arg)
-  in
-  let doc = "Load benchmarks (see also the bechamel harness under bench/)." in
-  Cmd.group (Cmd.info "bench" ~doc) [ serve ]
+          $ queue_bound_arg $ fair_share_arg $ batch_max_arg $ idle_timeout_arg)
 
 (* --- fpga-gap: the three-way FPGA / ASIC / custom measurement (E11) --- *)
 
@@ -1339,6 +1088,6 @@ let main =
     [ list_cmd; run_cmd; all_cmd; resume_cmd; faults_cmd; analysis_cmd;
       check_cmd; dump_cmd; libdump_cmd; validate_json_cmd;
       sweep_cmd; pareto_cmd; cache_cmd; report_cmd; export_trace_cmd;
-      serve_cmd; bench_cmd; fpga_gap_cmd ]
+      serve_cmd; fpga_gap_cmd ]
 
 let () = exit (Cmd.eval' main)

@@ -40,9 +40,6 @@ let find id =
     (fun (i, _, f) -> if i = id then Some (Exp.observed i f) else None)
     (all @ extensions)
 
-let run_all () = List.map (fun (id, _, f) -> Exp.observed id f ()) all
-let run_extensions () = List.map (fun (id, _, f) -> Exp.observed id f ()) extensions
-
 let summary results =
   let buf = Buffer.create 256 in
   let total_p = ref 0 and total_c = ref 0 in

@@ -1,32 +1,14 @@
-(* Gap_obs.History — append-only run-history store and cross-run diffing.
+(* Gap_obs.History — host meta and calibration for benchmark documents.
 
-   One JSON object per line in BENCH_history.jsonl: a labelled, host-tagged
-   snapshot of named metrics (ns/run, total span ns, ...) plus a host
-   calibration number measured at record time. An append is one O_APPEND
-   write of one line: concurrent writers (the serve daemon plus a CLI run,
-   two parallel CI jobs) interleave whole lines instead of silently
-   dropping each other's entries the way the old read-all + rewrite cycle
-   did. A truncated tail from a killed writer is dropped on read, like
-   Trace does; [compact] rewrites the file through Util.Atomic_io
-   (temp + rename) to shed such tails.
-
-   Diffing two entries normalizes each wall-clock ratio by the ratio of the
-   calibration numbers, so "this host is 1.4x slower than the one that
-   recorded the baseline" does not read as a regression. The calibration
-   loop is a fixed deterministic FP kernel timed best-of-5. *)
+   The meta block says where and when a number was measured; the
+   calibration loop is a fixed deterministic FP kernel timed best-of-5, a
+   unitless "how fast is this host" number recorded next to it. *)
 
 type meta = {
   host : string;
   domains : int;
   ocaml_version : string;
   timestamp : string; (* ISO-8601 UTC *)
-}
-
-type entry = {
-  label : string;
-  meta : meta;
-  calibration_ns : float; (* 0. = unknown (e.g. trace-derived entries) *)
-  metrics : (string * float) list;
 }
 
 let iso8601_now () =
@@ -43,8 +25,6 @@ let meta_now () =
     timestamp = iso8601_now ();
   }
 
-(* fixed FP kernel, best-of-5: a unitless "how fast is this host" number
-   recorded alongside every snapshot so diffs can normalize across hosts *)
 let calibrate () =
   let best = ref infinity in
   for _ = 1 to 5 do
@@ -59,17 +39,6 @@ let calibrate () =
   done;
   !best
 
-let make ?meta ?calibration_ns ~label metrics =
-  {
-    label;
-    meta = (match meta with Some m -> m | None -> meta_now ());
-    calibration_ns =
-      (match calibration_ns with Some c -> c | None -> calibrate ());
-    metrics;
-  }
-
-(* --- JSON --- *)
-
 let meta_json m =
   Json.Obj
     [
@@ -78,234 +47,3 @@ let meta_json m =
       ("ocaml_version", Json.Str m.ocaml_version);
       ("timestamp", Json.Str m.timestamp);
     ]
-
-let to_json e =
-  Json.Obj
-    [
-      ("schema", Json.Int 1);
-      ("label", Json.Str e.label);
-      ("meta", meta_json e.meta);
-      ("calibration_ns", Json.Float e.calibration_ns);
-      ("metrics", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) e.metrics));
-    ]
-
-let num = function
-  | Json.Float f -> Some f
-  | Json.Int i -> Some (float_of_int i)
-  | _ -> None
-
-let of_json j =
-  let str k d = match Json.member k j with Some (Json.Str s) -> s | _ -> d in
-  match Json.member "metrics" j with
-  | Some (Json.Obj kvs) ->
-      let metrics =
-        List.filter_map
-          (fun (k, v) -> match num v with Some f -> Some (k, f) | None -> None)
-          kvs
-      in
-      let meta =
-        match Json.member "meta" j with
-        | Some m ->
-            {
-              host = (match Json.member "host" m with Some (Json.Str s) -> s | _ -> "unknown");
-              domains =
-                (match Json.member "domains" m with Some (Json.Int i) -> i | _ -> 0);
-              ocaml_version =
-                (match Json.member "ocaml_version" m with Some (Json.Str s) -> s | _ -> "");
-              timestamp =
-                (match Json.member "timestamp" m with Some (Json.Str s) -> s | _ -> "");
-            }
-        | None -> { host = "unknown"; domains = 0; ocaml_version = ""; timestamp = "" }
-      in
-      Ok
-        {
-          label = str "label" "";
-          meta;
-          calibration_ns =
-            (match Option.bind (Json.member "calibration_ns" j) num with
-            | Some c -> c
-            | None -> 0.);
-          metrics;
-        }
-  | Some _ -> Error "history entry: \"metrics\" is not an object"
-  | None -> Error "history entry: missing \"metrics\""
-
-(* --- the store --- *)
-
-let read path =
-  if not (Sys.file_exists path) then Ok ([], None)
-  else
-    match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | exception Sys_error e -> Error e
-    | s ->
-        let lines =
-          List.filteri (fun _ (_, l) -> String.trim l <> "")
-            (List.mapi (fun i l -> (i + 1, l)) (String.split_on_char '\n' s))
-        in
-        let last_line = match List.rev lines with (n, _) :: _ -> n | [] -> 0 in
-        let rec go acc = function
-          | [] -> Ok (List.rev acc, None)
-          | (n, l) :: rest -> (
-              match Json.of_string l with
-              | Error e when n = last_line ->
-                  Ok (List.rev acc, Some (Printf.sprintf "line %d: %s" n e))
-              | Error e -> Error (Printf.sprintf "line %d: %s" n e)
-              | Ok j -> (
-                  match of_json j with
-                  | Ok e -> go (e :: acc) rest
-                  | Error e -> Error (Printf.sprintf "line %d: %s" n e)))
-        in
-        go [] lines
-
-(* One O_APPEND write per entry. The kernel serializes O_APPEND writes, so
-   two processes (or threads) appending concurrently each land a whole line
-   — the previous read-modify-write-through-rename implementation let the
-   slower writer clobber the faster one's entry. *)
-let append path e =
-  let line = Json.to_string (to_json e) ^ "\n" in
-  let fd =
-    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644
-  in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      let len = String.length line in
-      let n = Unix.write_substring fd line 0 len in
-      if n <> len then
-        (* regular files complete single writes; anything else is a real
-           I/O failure worth surfacing *)
-        raise (Sys_error (Printf.sprintf "%s: short history append" path)))
-
-(* Compaction is the one place temp+rename survives: rewrite the file from
-   its parseable entries, shedding any truncated tail a killed writer left.
-   Concurrent appends during the rewrite can be lost, so call it from
-   housekeeping paths only, never racing a live daemon. *)
-let compact path =
-  match read path with
-  | Error _ -> ()
-  | Ok (entries, _truncated) ->
-      let buf = Buffer.create 4096 in
-      List.iter
-        (fun e ->
-          Buffer.add_string buf (Json.to_string (to_json e));
-          Buffer.add_char buf '\n')
-        entries;
-      Gap_util.Atomic_io.write_string path (Buffer.contents buf)
-
-(* selector: "last" / "prev" / "@N" (0-based index) / a label (latest
-   entry carrying it) *)
-let find entries sel =
-  let n = List.length entries in
-  let nth i = if i >= 0 && i < n then Some (List.nth entries i) else None in
-  match sel with
-  | "last" -> nth (n - 1)
-  | "prev" -> nth (n - 2)
-  | _ ->
-      if String.length sel > 1 && sel.[0] = '@' then
-        match int_of_string_opt (String.sub sel 1 (String.length sel - 1)) with
-        | Some i -> nth i
-        | None -> None
-      else
-        List.fold_left
-          (fun acc e -> if e.label = sel then Some e else acc)
-          None entries
-
-(* --- diffing --- *)
-
-type delta = {
-  metric : string;
-  base : float;
-  cur : float;
-  ratio : float; (* cur / base, raw *)
-  norm_ratio : float; (* ratio divided by the hosts' calibration ratio *)
-  pct : float; (* (norm_ratio - 1) * 100; positive = slower = regression *)
-}
-
-type diff = {
-  deltas : delta list;
-  only_base : string list; (* metrics the current run no longer reports *)
-  only_cur : string list; (* metrics new in the current run *)
-  cal_ratio : float; (* cur calibration / base calibration, 1. if unknown *)
-}
-
-let diff ~baseline ~current =
-  let cal_ratio =
-    if baseline.calibration_ns > 0. && current.calibration_ns > 0. then
-      current.calibration_ns /. baseline.calibration_ns
-    else 1.
-  in
-  let deltas =
-    List.filter_map
-      (fun (name, base) ->
-        match List.assoc_opt name current.metrics with
-        | Some cur when base > 0. ->
-            let ratio = cur /. base in
-            let norm_ratio = ratio /. cal_ratio in
-            Some
-              { metric = name; base; cur; ratio; norm_ratio;
-                pct = (norm_ratio -. 1.) *. 100. }
-        | _ -> None)
-      baseline.metrics
-  in
-  {
-    deltas;
-    only_base =
-      List.filter_map
-        (fun (n, _) ->
-          if List.mem_assoc n current.metrics then None else Some n)
-        baseline.metrics;
-    only_cur =
-      List.filter_map
-        (fun (n, _) ->
-          if List.mem_assoc n baseline.metrics then None else Some n)
-        current.metrics;
-    cal_ratio;
-  }
-
-let regressions ~gate_pct d =
-  List.filter (fun dl -> dl.pct > gate_pct) d.deltas
-
-let render_diff ?gate_pct d =
-  let buf = Buffer.create 1024 in
-  if d.cal_ratio <> 1. then
-    Buffer.add_string buf
-      (Printf.sprintf
-         "host calibration ratio (current/base): %.3f — deltas are normalized\n"
-         d.cal_ratio);
-  let rows =
-    List.map
-      (fun dl ->
-        let flag =
-          match gate_pct with
-          | Some g when dl.pct > g -> "REGRESSED"
-          | Some g when dl.pct < -.g -> "improved"
-          | _ -> ""
-        in
-        [
-          dl.metric;
-          Printf.sprintf "%.0f" dl.base;
-          Printf.sprintf "%.0f" dl.cur;
-          Printf.sprintf "%.3f" dl.norm_ratio;
-          Printf.sprintf "%+.1f%%" dl.pct;
-          flag;
-        ])
-      (List.stable_sort (fun a b -> Float.compare b.pct a.pct) d.deltas)
-  in
-  if rows <> [] then
-    Buffer.add_string buf
-      (Gap_util.Table.render
-         ~aligns:Gap_util.Table.[ Left; Right; Right; Right; Right; Left ]
-         ~header:[ "metric"; "base"; "current"; "norm ratio"; "delta"; "" ]
-         rows);
-  if d.only_base <> [] then
-    Buffer.add_string buf
-      (Printf.sprintf "only in baseline: %s\n" (String.concat ", " d.only_base));
-  if d.only_cur <> [] then
-    Buffer.add_string buf
-      (Printf.sprintf "only in current: %s\n" (String.concat ", " d.only_cur));
-  Buffer.contents buf

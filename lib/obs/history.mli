@@ -1,13 +1,10 @@
-(** Append-only run-history store ([BENCH_history.jsonl]) and cross-run
-    regression diffing.
+(** Host meta and calibration for benchmark documents.
 
-    One JSON object per line: a labelled, host-tagged snapshot of named
-    metrics plus a calibration number measured at record time. An append is
-    a single [O_APPEND] write of one line, so concurrent writers (daemon +
-    CLI, parallel CI jobs) never drop each other's entries; a truncated
-    final line from a killed writer is dropped on read and shed for good by
-    {!compact}. Diffs normalize wall-clock ratios by the two entries'
-    calibration ratio, so a slower host does not read as a regression. *)
+    Every document the end-to-end benchmark writes ([bench/e2e]) carries a
+    [meta] block naming the host, its domain count, the OCaml version and
+    the time of the run, plus a calibration number: a fixed deterministic
+    FP kernel timed best-of-5, so two documents from different hosts or
+    days can be read against how fast each host was at the time. *)
 
 type meta = {
   host : string;
@@ -16,63 +13,10 @@ type meta = {
   timestamp : string;  (** ISO-8601 UTC *)
 }
 
-type entry = {
-  label : string;
-  meta : meta;
-  calibration_ns : float;  (** 0. = unknown (e.g. trace-derived entries) *)
-  metrics : (string * float) list;
-}
-
 val meta_now : unit -> meta
-val iso8601_now : unit -> string
 
 val calibrate : unit -> float
-(** Time a fixed deterministic FP kernel, best-of-5 — the unitless "how
-    fast is this host" number stored with every snapshot. *)
-
-val make :
-  ?meta:meta -> ?calibration_ns:float -> label:string ->
-  (string * float) list -> entry
-(** Snapshot with current host meta and a fresh calibration unless given. *)
+(** Time a fixed deterministic FP kernel, best-of-5 — a unitless "how
+    fast is this host" number, in ns. *)
 
 val meta_json : meta -> Json.t
-val to_json : entry -> Json.t
-val of_json : Json.t -> (entry, string) result
-
-val read : string -> (entry list * string option, string) result
-(** Entries in append order, plus a note when a truncated tail was
-    dropped. A missing file reads as ([], None)). *)
-
-val append : string -> entry -> unit
-(** One [O_APPEND] write of one JSONL line — atomic against concurrent
-    appenders (the whole line lands, interleaved with other writers'
-    whole lines, never torn across them). *)
-
-val compact : string -> unit
-(** Rewrite the store (temp + rename) from its parseable entries, dropping
-    a truncated tail. Not safe against concurrent {!append}ers: an entry
-    landing mid-rewrite is lost — housekeeping use only. *)
-
-val find : entry list -> string -> entry option
-(** Selector: ["last"], ["prev"], ["@N"] (0-based index), or a label (the
-    latest entry carrying it). *)
-
-type delta = {
-  metric : string;
-  base : float;
-  cur : float;
-  ratio : float;  (** cur / base, raw *)
-  norm_ratio : float;  (** ratio divided by the hosts' calibration ratio *)
-  pct : float;  (** (norm_ratio - 1) x 100; positive = slower *)
-}
-
-type diff = {
-  deltas : delta list;
-  only_base : string list;
-  only_cur : string list;
-  cal_ratio : float;
-}
-
-val diff : baseline:entry -> current:entry -> diff
-val regressions : gate_pct:float -> diff -> delta list
-val render_diff : ?gate_pct:float -> diff -> string

@@ -4,8 +4,9 @@
    directly: per-(exp, path) aggregates with *self* time (total minus the
    time spent in direct children, the number that actually attributes
    wall-clock to code), top-K rankings by wall and by allocation, the
-   critical path (the heaviest root-to-leaf chain of span totals), and
-   p50/p90/p99 estimates from fixed-bucket histogram counts. *)
+   critical path (the heaviest root-to-leaf chain of span totals),
+   p50/p90/p99 estimates from fixed-bucket histogram counts, and the
+   span-by-span diff of two runs' analyses. *)
 
 type node = {
   n_exp : string;
@@ -306,3 +307,68 @@ let to_json ?(top = 10) t =
       ( "events",
         Json.Obj (List.map (fun (n, c) -> (n, Json.Int c)) t.event_counts) );
     ]
+
+(* --- comparing two runs: span totals matched by (exp, path) --- *)
+
+type delta = { span : string; base_ns : float; cur_ns : float; pct : float }
+
+type diff = {
+  deltas : delta list;
+  only_base : string list;
+  only_cur : string list;
+}
+
+let span_label n = if n.n_exp = "" then n.n_path else n.n_exp ^ ":" ^ n.n_path
+
+let diff ~baseline ~current =
+  let totals t = List.map (fun n -> (span_label n, n.n_total_ns)) t.nodes in
+  let base = totals baseline and cur = totals current in
+  let one_sided a b =
+    List.filter_map (fun (s, _) -> if List.mem_assoc s b then None else Some s) a
+  in
+  {
+    deltas =
+      List.filter_map
+        (fun (span, base_ns) ->
+          Option.map
+            (fun cur_ns ->
+              let pct =
+                if base_ns > 0. then ((cur_ns /. base_ns) -. 1.) *. 100.
+                else if cur_ns <= 0. then 0.
+                else infinity
+              in
+              { span; base_ns; cur_ns; pct })
+            (List.assoc_opt span cur))
+        base;
+    only_base = one_sided base cur;
+    only_cur = one_sided cur base;
+  }
+
+let render_diff d =
+  let buf = Buffer.create 1024 in
+  let rows =
+    List.map
+      (fun dl ->
+        [
+          dl.span;
+          Obs.pp_ns dl.base_ns;
+          Obs.pp_ns dl.cur_ns;
+          Printf.sprintf "%+.1f%%" dl.pct;
+        ])
+      (List.stable_sort (fun a b -> Float.compare b.pct a.pct) d.deltas)
+  in
+  if rows <> [] then
+    Buffer.add_string buf
+      (Gap_util.Table.render
+         ~aligns:Gap_util.Table.[ Left; Right; Right; Right ]
+         ~header:[ "span"; "base"; "current"; "delta" ]
+         rows);
+  let one_sided title = function
+    | [] -> ()
+    | spans ->
+        Buffer.add_string buf
+          (Printf.sprintf "only in %s: %s\n" title (String.concat ", " spans))
+  in
+  one_sided "baseline" d.only_base;
+  one_sided "current" d.only_cur;
+  Buffer.contents buf

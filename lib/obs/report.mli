@@ -1,6 +1,7 @@
 (** Trace analysis: per-(exp, path) aggregates with self-time attribution,
-    top-K rankings, critical-path extraction, and percentile estimates from
-    fixed-bucket histogram counts. The reading half of {!Obs}'s telemetry. *)
+    top-K rankings, critical-path extraction, percentile estimates from
+    fixed-bucket histogram counts, and the span-total diff of two runs.
+    The reading half of {!Obs}'s telemetry. *)
 
 type node = {
   n_exp : string;
@@ -54,3 +55,26 @@ val render : ?top:int -> t -> string
     critical path, event counts. *)
 
 val to_json : ?top:int -> t -> Json.t
+
+(** {1 Comparing two runs} *)
+
+type delta = {
+  span : string;  (** ["exp:path"], or the path alone outside any experiment *)
+  base_ns : float;  (** span total in the baseline *)
+  cur_ns : float;  (** span total in the current run *)
+  pct : float;
+      (** (cur / base - 1) x 100; positive = slower. 0 when both are 0,
+          [infinity] when only the baseline total is 0. *)
+}
+
+type diff = {
+  deltas : delta list;  (** spans on both sides, in baseline order *)
+  only_base : string list;  (** spans the current run no longer has *)
+  only_cur : string list;  (** spans new in the current run *)
+}
+
+val diff : baseline:t -> current:t -> diff
+(** Span totals of two analyses, matched by (exp, path). *)
+
+val render_diff : diff -> string
+(** Deltas sorted slowest first, then the one-sided spans. *)

@@ -2,8 +2,8 @@
 
     One connection, one outstanding request at a time: the daemon answers a
     connection's requests in order, so a request is a write of one line and
-    a read of one line. Concurrency comes from opening more clients (the
-    load generator opens hundreds). Not thread-safe; share nothing. *)
+    a read of one line. Concurrency comes from opening more clients, one
+    per thread. Not thread-safe; share nothing. *)
 
 type t
 

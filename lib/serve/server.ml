@@ -1,6 +1,5 @@
 module Json = Gap_obs.Json
 module Obs = Gap_obs.Obs
-module History = Gap_obs.History
 module Stage_error = Gap_resilience.Stage_error
 module Fault = Gap_resilience.Fault
 module Supervisor = Gap_resilience.Supervisor
@@ -19,7 +18,6 @@ type config = {
   queue_bound : int;
   fair_share : int;
   batch_max : int;
-  history : string option;
   idle_timeout_s : float option;
 }
 
@@ -32,7 +30,6 @@ let default_config addr =
     queue_bound = 64;
     fair_share = 8;
     batch_max = 256;
-    history = None;
     idle_timeout_s = None;
   }
 
@@ -538,19 +535,6 @@ let stop t =
             t.n_flush_failures <- t.n_flush_failures + 1;
             Obs.incr "serve.flush_failures";
             Obs.event "serve.flush_failed" [ ("error", Stage_error.to_json e) ]);
-    (match t.cfg.history with
-    | Some store ->
-        let s = stats t in
-        History.append store
-          (History.make ~label:"serve"
-             [
-               ("serve.requests", float_of_int s.requests);
-               ("serve.evals", float_of_int s.evals);
-               ("serve.coalesced", float_of_int s.coalesced);
-               ("serve.cache_hits", float_of_int s.cache_hits);
-               ("serve.errors", float_of_int s.errors);
-             ])
-    | None -> ());
     locked t (fun () ->
         t.stopped <- true;
         Condition.broadcast t.stopped_cond)

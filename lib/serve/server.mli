@@ -36,8 +36,6 @@ type config = {
   queue_bound : int;  (** max queued evals per client before it blocks *)
   fair_share : int;  (** max jobs one client contributes per scheduling pass *)
   batch_max : int;  (** max jobs per [Pool.map] batch *)
-  history : string option;
-      (** append a labelled run snapshot here on shutdown *)
   idle_timeout_s : float option;
       (** evict a connection silent for this long: its reader thread sends a
           typed [Timeout] response (best-effort, if the socket is writable)
@@ -46,7 +44,7 @@ type config = {
 
 val default_config : Protocol.addr -> config
 (** domains 1, no store, capacity 4096, queue_bound 64, fair_share 8,
-    batch_max 256, no history, no idle timeout. *)
+    batch_max 256, no idle timeout. *)
 
 type t
 
@@ -61,8 +59,8 @@ val start : t -> unit
 val stop : t -> unit
 (** Graceful shutdown: stop accepting, fail blocked enqueuers with
     [Overloaded], drain already-queued work so attached waiters get real
-    results, flush the cache, shut open connections down, join the service
-    threads, and append the history snapshot if configured. Idempotent. *)
+    results, flush the cache, shut open connections down and join the
+    service threads. Idempotent. *)
 
 val wait : t -> unit
 (** Block until the server stops (a [shutdown] request, or {!stop} from
@@ -71,7 +69,7 @@ val wait : t -> unit
 val stats_json : t -> Gap_obs.Json.t
 (** The same document a [stats] request returns. *)
 
-(** {1 Introspection for tests and the load generator} *)
+(** {1 Introspection for tests and the fault campaign} *)
 
 type stats = {
   requests : int;  (** requests handled, any op *)

@@ -1,15 +1,15 @@
 (* Gap_report observatory: the Trace reader is strict except for a killed
    writer's torn final line, Report's self-time/critical-path/percentile
    arithmetic matches hand-computed values on synthetic traces, the Chrome
-   export is strict ts-sorted JSON, and History diffing flags an
-   artificially slowed metric at --gate 10 while identical runs pass. *)
+   export is strict ts-sorted JSON, and Report.diff of two recorder traces
+   reads zero on identical runs, +40% on a span slowed by 40%, and lists
+   spans only one side has. *)
 
 module Obs = Gap_obs.Obs
 module Json = Gap_obs.Json
 module Trace = Gap_obs.Trace
 module Report = Gap_obs.Report
 module Export = Gap_obs.Export
-module History = Gap_obs.History
 
 let with_temp_file f =
   let path = Filename.temp_file "gap_report_test" ".jsonl" in
@@ -257,92 +257,72 @@ let test_export_chrome_trace () =
       | Some _ -> Alcotest.fail "non-float dur")
     events
 
-(* --- History --- *)
+(* --- Report.diff --- *)
 
-let meta0 =
-  {
-    History.host = "test-host";
-    domains = 2;
-    ocaml_version = Sys.ocaml_version;
-    timestamp = "2026-08-08T00:00:00Z";
-  }
-
-let entry ?(label = "run") ?(cal = 100.) metrics =
-  History.make ~meta:meta0 ~calibration_ns:cal ~label metrics
-
-let test_history_roundtrip_and_find () =
+(* record [body] through a recorder sink and read the trace back *)
+let record body =
   with_temp_file (fun path ->
-      Sys.remove path;
-      (match History.read path with
-      | Ok ([], None) -> ()
-      | _ -> Alcotest.fail "missing file must read as empty");
-      History.append path (entry ~label:"a" [ ("m", 1.) ]);
-      History.append path (entry ~label:"b" [ ("m", 2.) ]);
-      History.append path (entry ~label:"a" [ ("m", 3.) ]);
-      let entries, note = ok (History.read path) in
-      Alcotest.(check (option string)) "clean tail" None note;
-      Alcotest.(check int) "three entries" 3 (List.length entries);
-      let metric e = List.assoc "m" e.History.metrics in
-      let pick sel =
-        match History.find entries sel with
-        | Some e -> metric e
-        | None -> Alcotest.failf "selector %s found nothing" sel
-      in
-      Alcotest.(check (float 0.)) "last" 3. (pick "last");
-      Alcotest.(check (float 0.)) "prev" 2. (pick "prev");
-      Alcotest.(check (float 0.)) "@0" 1. (pick "@0");
-      Alcotest.(check (float 0.)) "label picks latest" 3. (pick "a");
-      Alcotest.(check bool) "unknown label misses" true
-        (History.find entries "nope" = None);
-      (* a torn final line is dropped with a note, earlier entries survive *)
-      let oc = open_out_gen [ Open_append ] 0o644 path in
-      output_string oc "{\"label\":\"torn";
+      let oc = open_out path in
+      Obs.with_sink (Obs.recorder ~trace:oc ()) (fun () ->
+          Obs.with_exp "E4" body);
       close_out oc;
-      let entries', note' = ok (History.read path) in
-      Alcotest.(check int) "torn tail dropped" 3 (List.length entries');
-      Alcotest.(check bool) "torn tail noted" true (note' <> None))
+      ok (Trace.read_file path))
 
-let test_history_diff_gate () =
-  (* identical snapshots pass the gate... *)
-  let base = entry [ ("sta.total_ns", 1000.); ("mc.total_ns", 500.) ] in
-  let same = History.diff ~baseline:base ~current:base in
-  Alcotest.(check int) "identical runs have no regressions" 0
-    (List.length (History.regressions ~gate_pct:10. same));
-  (* ...an artificially slowed metric fails it *)
+let run_spans ~route () =
+  Obs.span "sta" (fun () -> Obs.span "prop" (fun () -> Unix.sleepf 0.002));
+  Obs.span "place" (fun () -> Unix.sleepf 0.002);
+  if route then Obs.span "route" (fun () -> ())
+
+let test_report_diff () =
+  let tr = record (run_spans ~route:false) in
+  let base = Report.analyze tr in
+  (* identical traces: every span compared, every delta exactly zero *)
+  let same = Report.diff ~baseline:base ~current:base in
+  Alcotest.(check (list string)) "all spans compared"
+    [ "E4:sta/prop"; "E4:sta"; "E4:place" ]
+    (List.map (fun d -> d.Report.span) same.Report.deltas);
+  List.iter
+    (fun d ->
+      Alcotest.(check (float 0.)) (d.Report.span ^ " delta") 0. d.Report.pct)
+    same.Report.deltas;
+  Alcotest.(check (list string)) "nothing one-sided" []
+    (same.Report.only_base @ same.Report.only_cur);
+  (* the same trace with place 40% slower: only place moves, by +40% *)
   let slowed =
-    History.diff ~baseline:base
-      ~current:(entry [ ("sta.total_ns", 1400.); ("mc.total_ns", 500.) ])
+    {
+      tr with
+      Trace.records =
+        List.map
+          (function
+            | Trace.Span sp when sp.Trace.s_path = "place" ->
+                Trace.Span
+                  { sp with Trace.s_dur_ns = sp.Trace.s_dur_ns * 14 / 10 }
+            | r -> r)
+          tr.Trace.records;
+    }
   in
-  (match History.regressions ~gate_pct:10. slowed with
-  | [ d ] ->
-      Alcotest.(check string) "the slowed metric" "sta.total_ns" d.History.metric;
-      Alcotest.(check (float 1e-9)) "pct is +40" 40. d.History.pct
-  | l -> Alcotest.failf "expected 1 regression, got %d" (List.length l));
-  Alcotest.(check bool) "render flags it" true
-    (contains (History.render_diff ~gate_pct:10. slowed) "REGRESSED")
-
-let test_history_calibration_normalizes () =
-  (* the whole host is 2x slower (calibration 100 -> 200); a metric that
-     scaled with it is NOT a regression once normalized *)
-  let base = entry ~cal:100. [ ("k.ns", 1000.) ] in
-  let cur = entry ~cal:200. [ ("k.ns", 2000.) ] in
-  let d = History.diff ~baseline:base ~current:cur in
-  Alcotest.(check (float 1e-9)) "cal ratio" 2. d.History.cal_ratio;
-  (match d.History.deltas with
+  let d = Report.diff ~baseline:base ~current:(Report.analyze slowed) in
+  (match List.filter (fun d -> d.Report.pct <> 0.) d.Report.deltas with
   | [ dl ] ->
-      Alcotest.(check (float 1e-9)) "raw ratio 2" 2. dl.History.ratio;
-      Alcotest.(check (float 1e-9)) "normalized ratio 1" 1. dl.History.norm_ratio
-  | l -> Alcotest.failf "expected 1 delta, got %d" (List.length l));
-  Alcotest.(check int) "no regression after normalization" 0
-    (List.length (History.regressions ~gate_pct:10. d));
-  (* disjoint metric sets are reported, not silently dropped *)
-  let d2 =
-    History.diff
-      ~baseline:(entry [ ("old.ns", 1.); ("k.ns", 1.) ])
-      ~current:(entry [ ("new.ns", 1.); ("k.ns", 1.) ])
-  in
-  Alcotest.(check (list string)) "only in baseline" [ "old.ns" ] d2.History.only_base;
-  Alcotest.(check (list string)) "only in current" [ "new.ns" ] d2.History.only_cur
+      Alcotest.(check string) "the slowed span" "E4:place" dl.Report.span;
+      Alcotest.(check (float 1e-3)) "+40%" 40. dl.Report.pct
+  | l -> Alcotest.failf "expected 1 moved span, got %d" (List.length l));
+  let r = Report.render_diff d in
+  Alcotest.(check bool) "render names it" true (contains r "E4:place");
+  Alcotest.(check bool) "render shows +40.0%" true (contains r "+40.0%");
+  (* a second recorder trace with one more span *)
+  let more = Report.analyze (record (run_spans ~route:true)) in
+  let grown = Report.diff ~baseline:base ~current:more in
+  Alcotest.(check (list string)) "only in current" [ "E4:route" ]
+    grown.Report.only_cur;
+  Alcotest.(check (list string)) "shared spans compared"
+    [ "E4:sta/prop"; "E4:sta"; "E4:place" ]
+    (List.map (fun d -> d.Report.span) grown.Report.deltas);
+  let shrunk = Report.diff ~baseline:more ~current:base in
+  Alcotest.(check (list string)) "only in baseline" [ "E4:route" ]
+    shrunk.Report.only_base;
+  Alcotest.(check bool) "render lists it" true
+    (contains (Report.render_diff shrunk) "only in baseline: E4:route")
 
 (* --- stage-resolved STA slack histograms --- *)
 
@@ -393,8 +373,6 @@ let suite =
     ("report render and json", `Quick, test_report_render_and_json);
     ("histogram percentiles", `Quick, test_hist_percentile);
     ("chrome trace export", `Quick, test_export_chrome_trace);
-    ("history roundtrip and selectors", `Quick, test_history_roundtrip_and_find);
-    ("history diff gates regressions", `Quick, test_history_diff_gate);
-    ("history calibration normalizes", `Quick, test_history_calibration_normalizes);
+    ("diff of two recorder traces", `Quick, test_report_diff);
     ("sta slack by logic depth", `Quick, test_sta_slack_by_depth);
   ]

@@ -1,8 +1,8 @@
 (* Tests for Gap_serve: wire protocol round-trips, the evaluation daemon
-   (byte-identical responses, coalescing, poisoned requests, store reuse
-   across restarts, graceful shutdown), and regressions for the concurrency
-   bugs the daemon flushed out — lost History.append entries under
-   concurrent writers and corrupted Gap_obs span stacks under systhreads. *)
+   (byte-identical responses, coalescing under barrier-released waves,
+   poisoned requests, store reuse across restarts, graceful shutdown), and
+   regressions for the concurrency bugs the daemon flushed out — corrupted
+   Gap_obs span stacks under systhreads, hash-order cache listings. *)
 
 module Protocol = Gap_serve.Protocol
 module Server = Gap_serve.Server
@@ -12,7 +12,6 @@ module Eval = Gap_dse.Eval
 module Cache = Gap_dse.Cache
 module Obs = Gap_obs.Obs
 module Json = Gap_obs.Json
-module History = Gap_obs.History
 module Stage_error = Gap_resilience.Stage_error
 
 let fresh_sock =
@@ -133,38 +132,115 @@ let test_serve_eval_byte_identical () =
           Alcotest.(check int) "one evaluation" 1 s.Server.evals;
           Alcotest.(check int) "second was a cache hit" 1 s.Server.cache_hits))
 
-let test_concurrent_identical_coalesce () =
+(* Wave points run the binning Monte Carlo at 1M dies: the evaluation
+   must outlast a systhread preemption tick (~50 ms). A shorter one holds
+   the runtime lock until its result lands, so the followers degrade from
+   in-flight coalesces to plain cache hits and the coalescing path goes
+   unexercised. *)
+let wave_point =
+  let n = ref 0 in
+  fun () ->
+    incr n;
+    {
+      Space.baseline with
+      Space.sigma_scale = 1.0 +. (0.0001 *. float_of_int !n);
+      binning = true;
+      mc_dies = 1_000_000;
+    }
+
+(* cyclic barrier: the last of [parties] arrivals releases the rest *)
+let barrier parties =
+  let m = Mutex.create () and c = Condition.create () in
+  let arrived = ref 0 and gen = ref 0 in
+  fun () ->
+    Mutex.lock m;
+    let g = !gen in
+    incr arrived;
+    if !arrived = parties then begin
+      arrived := 0;
+      incr gen;
+      Condition.broadcast c
+    end
+    else
+      while !gen = g do
+        Condition.wait c m
+      done;
+    Mutex.unlock m
+
+(* [clients] connections. In each of [waves] rounds a barrier releases
+   every client onto the same fresh wave point; then each client asks for
+   [unique] fresh points no other client asks for. A wave costs one
+   evaluation however many clients ask, and its followers either attach to
+   the in-flight slot or, arriving after it lands, hit the cache. *)
+let test_concurrent_coalesce ~clients ~waves ~unique () =
   let sink = Obs.recorder () in
   Obs.with_sink sink (fun () ->
       with_server (fun t addr ->
-          let n = 16 in
-          let p = fresh_point () in
-          let results = Array.make n "" in
-          let body i () =
-            with_client addr (fun cl ->
-                match Client.eval cl p with
-                | Ok j -> results.(i) <- Json.to_string j
-                | Error e -> results.(i) <- "ERR " ^ Protocol.err_to_string e)
+          let wave_pts = Array.init waves (fun _ -> wave_point ()) in
+          let unique_pts =
+            Array.init clients (fun _ -> Array.init unique (fun _ -> fresh_point ()))
           in
-          let ths = Array.init n (fun i -> Thread.create (body i) ()) in
+          let await = barrier clients in
+          let answers = Array.make_matrix clients (waves + unique) "" in
+          let body c () =
+            match Client.connect_retry addr with
+            | Error e ->
+                answers.(c).(0) <- "ERR " ^ Client.connect_error_to_string e;
+                (* keep the barrier whole, or every other client hangs *)
+                Array.iter (fun _ -> await ()) wave_pts
+            | Ok cl ->
+                Fun.protect ~finally:(fun () -> Client.close cl) (fun () ->
+                    let ask i p =
+                      answers.(c).(i) <-
+                        (match Client.eval cl p with
+                        | Ok j -> Json.to_string j
+                        | Error e -> "ERR " ^ Protocol.err_to_string e)
+                    in
+                    Array.iteri (fun w p -> await (); ask w p) wave_pts;
+                    Array.iteri (fun u p -> ask (waves + u) p) unique_pts.(c))
+          in
+          let ths = Array.init clients (fun c -> Thread.create (body c) ()) in
           Array.iter Thread.join ths;
-          let expect = Json.to_string (Eval.to_json (Eval.point p)) in
+          let expect p = Json.to_string (Eval.to_json (Eval.point p)) in
           Array.iteri
-            (fun i r ->
-              Alcotest.(check string)
-                (Printf.sprintf "client %d byte-identical" i)
-                expect r)
-            results;
+            (fun w p ->
+              let e = expect p in
+              Array.iteri
+                (fun c a ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "wave %d, client %d byte-identical" w c)
+                    e a.(w))
+                answers)
+            wave_pts;
+          Array.iteri
+            (fun c pts ->
+              Array.iteri
+                (fun u p ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "client %d, unique point %d byte-identical" c u)
+                    (expect p)
+                    answers.(c).(waves + u))
+                pts)
+            unique_pts;
           let s = Server.stats t in
+          let evals = waves + (clients * unique) in
           Alcotest.(check int)
-            "N identical concurrent requests cost exactly 1 evaluation" 1
+            "one evaluation per wave plus one per unique point" evals
             s.Server.evals;
+          Alcotest.(check int) "the worker pool saw exactly those jobs" evals
+            (Obs.counter_value sink "dse.pool.jobs");
           Alcotest.(check int)
-            "every other request coalesced or hit the cache" (n - 1)
+            "every wave follower coalesced or hit the cache"
+            (waves * (clients - 1))
             (s.Server.coalesced + s.Server.cache_hits);
-          Alcotest.(check int)
-            "the worker pool saw exactly one job" 1
-            (Obs.counter_value sink "dse.pool.jobs")))
+          let rate =
+            float_of_int s.Server.coalesced
+            /. float_of_int (s.Server.coalesced + s.Server.evals)
+          in
+          if rate < 0.25 then
+            Alcotest.failf
+              "coalesce rate %.3f below 0.25 (%d coalesced, %d cache hits, %d evals)"
+              rate s.Server.coalesced s.Server.cache_hits s.Server.evals))
 
 let test_poisoned_request_typed_error () =
   with_server (fun t addr ->
@@ -303,36 +379,6 @@ let test_shutdown_request_stops_server () =
 
 (* --- regressions for the concurrency bugs the daemon flushed out --- *)
 
-(* History.append used to read-modify-write the whole file; two concurrent
-   appenders (the daemon plus the CLI) silently lost entries. One O_APPEND
-   write per line must lose nothing. *)
-let test_history_concurrent_append_loses_nothing () =
-  let path = Filename.temp_file "gap_serve_hist" ".jsonl" in
-  Sys.remove path;
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      let writers = 8 and per_writer = 40 in
-      let meta = History.meta_now () in
-      let body w () =
-        for i = 0 to per_writer - 1 do
-          History.append path
-            (History.make ~meta ~calibration_ns:0.
-               ~label:(Printf.sprintf "w%d" w)
-               [ ("i", float_of_int i) ]);
-          if i mod 8 = 0 then Thread.yield ()
-        done
-      in
-      let ths = Array.init writers (fun w -> Thread.create (body w) ()) in
-      Array.iter Thread.join ths;
-      match History.read path with
-      | Ok (entries, note) ->
-          Alcotest.(check bool) "no truncated tail" true (Option.is_none note);
-          Alcotest.(check int)
-            "concurrent appenders lose zero entries" (writers * per_writer)
-            (List.length entries)
-      | Error e -> Alcotest.fail e)
-
 (* Span stacks used to live in Domain.DLS, which systhreads share: two
    threads opening spans concurrently corrupted each other's nesting. Each
    thread must see its own stack — same aggregate whatever the
@@ -383,14 +429,18 @@ let suite =
     ("protocol round-trip", `Quick, test_protocol_roundtrip);
     ("address parsing", `Quick, test_addr_parsing);
     ("eval responses byte-identical to CLI", `Quick, test_serve_eval_byte_identical);
-    ("N concurrent identical requests, 1 eval", `Quick, test_concurrent_identical_coalesce);
+    ( "N concurrent identical requests, 1 eval",
+      `Quick,
+      test_concurrent_coalesce ~clients:16 ~waves:1 ~unique:0 );
+    ( "coalescing waves: 32 clients, 4 waves, 2 unique",
+      `Quick,
+      test_concurrent_coalesce ~clients:32 ~waves:4 ~unique:2 );
     ("poisoned request returns typed error", `Quick, test_poisoned_request_typed_error);
     ("malformed line survives", `Quick, test_malformed_line_survives);
     ("sweep and pareto over the wire", `Quick, test_sweep_and_pareto_ops);
     ("store survives restart", `Quick, test_store_survives_restart);
     ("stop idempotent, socket removed", `Quick, test_stop_idempotent_and_refuses_new_conns);
     ("shutdown request stops server", `Quick, test_shutdown_request_stops_server);
-    ("history concurrent append", `Quick, test_history_concurrent_append_loses_nothing);
     ("span stacks per thread", `Quick, test_span_stacks_per_thread);
     ("cache entries sorted", `Quick, test_cache_entries_sorted);
   ]
