@@ -7,8 +7,18 @@ type entry = {
   e_key : string;
   e_point : Space.point;
   e_metrics : Eval.metrics;
-  mutable e_tick : int;  (** last-use stamp for LRU eviction *)
+  mutable older : entry option;  (** LRU neighbours; the oldest goes first *)
+  mutable newer : entry option;
+  mutable self : entry option;
+      (** [Some] of this entry, made once, so relinking allocates nothing *)
 }
+
+let make_entry key p m =
+  let e =
+    { e_key = key; e_point = p; e_metrics = m; older = None; newer = None; self = None }
+  in
+  e.self <- Some e;
+  e
 
 (* Where the persistent side lives. [Lazy_store] defers touching the disk
    until the first flush — a cache that never flushes never writes — and is
@@ -22,9 +32,10 @@ type backend =
 type t = {
   capacity : int;
   tbl : (string, entry) Hashtbl.t;
+  mutable oldest : entry option;  (* ends of the LRU list over [tbl] *)
+  mutable newest : entry option;
   mutable backend : backend;
   mutable pending : entry list;  (* adds since the last flush, newest first *)
-  mutable tick : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -78,7 +89,7 @@ let entry_of_payload ~store key payload =
       match (Json.member "point" j, Json.member "metrics" j) with
       | Some pj, Some mj -> (
           match (Space.point_of_json pj, Eval.of_json mj) with
-          | Ok p, Ok m -> { e_key = key; e_point = p; e_metrics = m; e_tick = 0 }
+          | Ok p, Ok m -> make_entry key p m
           | _ -> fail (Printf.sprintf "record %s does not decode to a point" key))
       | _ -> fail (Printf.sprintf "record %s misses point/metrics" key))
 
@@ -88,24 +99,29 @@ let sorted_entries t =
   Hashtbl.fold (fun _ e acc -> e :: acc) t.tbl []
   |> List.sort (fun a b -> String.compare a.e_key b.e_key)
 
+(* Every live entry sits on one doubly linked list, oldest use first, so
+   finding the victim and touching an entry are both O(1). Evictions are on
+   the hot path: a daemon whose working set outgrows the LRU evicts on every
+   fresh add, inside its batch and under its lock. The victim is always the
+   least recently used entry; entries loaded from a store, never used yet,
+   come first and go in key order, not in Hashtbl iteration order, so the
+   surviving set — and therefore the flushed store — is byte-identical
+   across runs whatever order the table hashed to. *)
+let unlink t e =
+  (match e.older with Some o -> o.newer <- e.newer | None -> t.oldest <- e.newer);
+  (match e.newer with Some n -> n.older <- e.older | None -> t.newest <- e.older);
+  e.older <- None;
+  e.newer <- None
+
+let push_newest t e =
+  e.older <- t.newest;
+  (match t.newest with Some n -> n.newer <- e.self | None -> t.oldest <- e.self);
+  t.newest <- e.self
+
 let evict_lru t =
-  (* O(n) scan; evictions only happen past [capacity], far off the sweep
-     hot path. Ties on the tick (every entry loaded from a store carries
-     tick 0 until touched) break on the key, not on Hashtbl iteration
-     order, so the surviving set — and therefore the flushed store — is
-     byte-identical across runs whatever order the table hashed to. *)
-  let better b e =
-    b.e_tick < e.e_tick
-    || (b.e_tick = e.e_tick && String.compare b.e_key e.e_key <= 0)
-  in
-  let victim =
-    Hashtbl.fold
-      (fun _ e acc ->
-        match acc with Some b when better b e -> acc | _ -> Some e)
-      t.tbl None
-  in
-  match victim with
+  match t.oldest with
   | Some e ->
+      unlink t e;
       Hashtbl.remove t.tbl e.e_key;
       t.evictions <- t.evictions + 1;
       Obs.incr "dse.cache.evict"
@@ -116,9 +132,10 @@ let create ?(capacity = 4096) ?store () =
     {
       capacity = max 1 capacity;
       tbl = Hashtbl.create 64;
+      oldest = None;
+      newest = None;
       backend = Mem;
       pending = [];
-      tick = 0;
       hits = 0;
       misses = 0;
       evictions = 0;
@@ -137,6 +154,7 @@ let create ?(capacity = 4096) ?store () =
             (* replay in append order: the last record per key wins *)
             Hashtbl.replace t.tbl key (entry_of_payload ~store:path key payload))
           records;
+        List.iter (push_newest t) (sorted_entries t);
         while Hashtbl.length t.tbl > t.capacity do
           evict_lru t
         done;
@@ -153,8 +171,11 @@ let create ?(capacity = 4096) ?store () =
 let recovery_note t = t.recovery_note
 
 let touch t e =
-  t.tick <- t.tick + 1;
-  e.e_tick <- t.tick
+  match t.newest with
+  | Some n when n == e -> ()
+  | _ ->
+      unlink t e;
+      push_newest t e
 
 let find t p =
   match Hashtbl.find_opt t.tbl (Key.of_point p) with
@@ -177,8 +198,8 @@ let add t p m =
         e
     | None ->
         if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
-        let e = { e_key = key; e_point = p; e_metrics = m; e_tick = 0 } in
-        touch t e;
+        let e = make_entry key p m in
+        push_newest t e;
         Hashtbl.add t.tbl key e;
         e
   in

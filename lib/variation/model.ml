@@ -19,25 +19,22 @@ let sample_speed_factor t rng =
 (* one die consumes four standard normals: lot, wafer, die, intra *)
 let draws_per_die = 4
 
-let fill_fmax t rng ~z ~out ~pos ~len ~nominal_mhz =
-  let draws = draws_per_die * len in
-  if Array.length z < draws then
+let fill_fmax t ~z ~out ~pos ~len ~nominal_mhz =
+  if len < 0 || draws_per_die * len > Gap_util.Stats.buf_length z then
     invalid_arg
-      (Printf.sprintf
-         "Gap_variation.Model.fill_fmax: z scratch holds %d of %d draws"
-         (Array.length z) draws);
-  if pos < 0 || len < 0 || pos + len > Gap_util.Stats.buf_length out then
+      (Printf.sprintf "Gap_variation.Model.fill_fmax: z holds %d of %d draws"
+         (Gap_util.Stats.buf_length z) (draws_per_die * len));
+  if pos < 0 || pos + len > Gap_util.Stats.buf_length out then
     invalid_arg "Gap_variation.Model.fill_fmax: range outside output buffer";
-  Gap_util.Rng.normal_std_fill rng z ~pos:0 ~len:draws;
   let s = t.sigmas in
   for i = 0 to len - 1 do
     let base = draws_per_die * i in
     (* draw order matches [sample_speed_factor]: its [+.] operands evaluate
        right to left, so the stream yields die, wafer, lot, then intra *)
-    let zd = Array.unsafe_get z base in
-    let zw = Array.unsafe_get z (base + 1) in
-    let zl = Array.unsafe_get z (base + 2) in
-    let zi = Array.unsafe_get z (base + 3) in
+    let zd = Bigarray.Array1.unsafe_get z base in
+    let zw = Bigarray.Array1.unsafe_get z (base + 1) in
+    let zl = Bigarray.Array1.unsafe_get z (base + 2) in
+    let zi = Bigarray.Array1.unsafe_get z (base + 3) in
     let dtd = 1. +. (s.lot *. zl) +. (s.wafer *. zw) +. (s.die *. zd) in
     let intra_penalty = Float.abs (s.intra *. zi) in
     let f = Float.max 0.05 (t.fab_mean *. dtd *. (1. -. intra_penalty)) in

@@ -39,24 +39,25 @@ val sample_speed_factor : t -> Gap_util.Rng.t -> float
 
 val draws_per_die : int
 (** Standard normals one die consumes (lot, wafer, die, intra), i.e. the
-    per-die stride of the [z] scratch passed to {!fill_fmax}. *)
+    per-die stride of the normals {!fill_fmax} reads. *)
 
 val fill_fmax :
   t ->
-  Gap_util.Rng.t ->
-  z:float array ->
+  z:Gap_util.Stats.buf ->
   out:Gap_util.Stats.buf ->
   pos:int ->
   len:int ->
   nominal_mhz:float ->
   unit
-(** [fill_fmax t rng ~z ~out ~pos ~len ~nominal_mhz] writes
+(** [fill_fmax t ~z ~out ~pos ~len ~nominal_mhz] writes
     [nominal_mhz x speed-factor] for [len] dies into
-    [out.{pos .. pos+len-1}] — bit-identical to [len] successive
-    [nominal_mhz *. sample_speed_factor t rng] evaluations, but the
-    standard normals are drawn in one batched {!Gap_util.Rng.normal_std_fill}
-    into the caller's [z] scratch (length >= [draws_per_die * len]), so the
-    hot loop allocates nothing. *)
+    [out.{pos .. pos+len-1}], die [i] from the standard normals
+    [z.{draws_per_die*i ..}] ([z] holds at least [draws_per_die * len]).
+    When [z] holds a generator's {!Gap_util.Rng.normal_std_fill} stream,
+    the result is bit-identical to [len] successive
+    [nominal_mhz *. sample_speed_factor t rng] evaluations on that
+    generator. The normals do not depend on [t], so one stream serves every
+    model; the loop only reads [z] and allocates nothing. *)
 
 (** {1 Fab accessibility (Sec. 8.1.2)} *)
 

@@ -15,7 +15,20 @@
     work to steal). Because the block layout depends only on [dies] — the
     chunk size steers only which worker writes which block — the resulting
     sample buffer is byte-identical for every [domains] value; parallelism
-    changes wall-clock only, never results. *)
+    changes wall-clock only, never results.
+
+    Runs that repeat a seed stop redrawing its standard normals. A shard's
+    normals depend only on the seed and the shard index — not on the model,
+    the die count or [domains] — so once two runs in a row share a seed the
+    process retains that seed's normals, shard by shard, and every later
+    run on it reads them back and runs only the per-die fmax arithmetic
+    ({!Model.fill_fmax}). A seed run only once keeps nothing. A retained
+    shard is always whole: a run ending mid-shard still draws and keeps
+    all 1024 dies' normals, of which its own are a prefix, so one stream
+    serves every die count. At most 64 shards (65,536 dies, 2 MiB of
+    float64 outside the OCaml heap) are kept; shards past that are drawn
+    into worker scratch on every run. Results are bit-identical to drawing
+    every shard afresh. *)
 
 type run = {
   nominal_mhz : float;
@@ -39,10 +52,19 @@ val simulate :
     results are identical for any value. [Invalid_argument] unless both
     [dies] and [domains] are positive.
 
+    Reuse: shards the process has retained for [seed] are read back, not
+    redrawn; the rest are drawn, and those among the first 64 are kept when
+    [seed] is the retained seed or the seed of the previous run.
+    The new shards are published through one atomic only after every
+    worker has joined, and a published shard is never written again, so
+    concurrent runs on any domains read complete shards; a run that fails
+    publishes nothing, and a run on another seed replaces the stream.
+
     Observability: worker domains aggregate locally and flush once at join
-    time — one batched [mc.shard_ns] histogram record per worker plus
-    [mc.chunks_claimed] / [mc.worker_chunks] for work-stealing balance —
-    instead of taking the recorder mutex per shard.
+    time — one batched [mc.shard_ns] histogram record per worker,
+    [mc.chunks_claimed] / [mc.worker_chunks] for work-stealing balance, and
+    [mc.shards_reused] / [mc.shards_drawn] for normal reuse — instead of
+    taking the recorder mutex per shard.
 
     Resilience: every spawned domain is joined even when a worker raises,
     and the first error re-raises as a typed

@@ -208,6 +208,122 @@ let test_cache_persistence_and_clear () =
       Alcotest.(check bool) "cold after clear" true
         (Cache.find c3 Space.baseline = None))
 
+(* The LRU victim rule, differentially: the O(n) scan the cache used to
+   run is the reference. Every live key carries its last-use tick (entries
+   loaded from a store carry tick 0) and the victim is the least
+   (tick, key). Random add/find/flush/reload sequences on a small capacity
+   must evict the same keys, so after every step the live set and the
+   eviction count agree with the reference. *)
+type lru_ref = {
+  ticks : (string, int) Hashtbl.t;
+  mutable now : int;
+  mutable evicted : int;
+}
+
+let ref_evict m =
+  let better (bk, bt) (k, t) = bt < t || (bt = t && String.compare bk k <= 0) in
+  let victim =
+    Hashtbl.fold
+      (fun k t acc ->
+        match acc with Some b when better b (k, t) -> acc | _ -> Some (k, t))
+      m.ticks None
+  in
+  Option.iter
+    (fun (k, _) ->
+      Hashtbl.remove m.ticks k;
+      m.evicted <- m.evicted + 1)
+    victim
+
+let ref_touch m k =
+  m.now <- m.now + 1;
+  Hashtbl.replace m.ticks k m.now
+
+type cache_op = Add of int | Find of int | Flush | Reload
+
+let cache_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun i -> Add i) (int_bound 11));
+        (4, map (fun i -> Find i) (int_bound 11));
+        (1, return Flush);
+        (1, return Reload);
+      ])
+
+let show_cache_op = function
+  | Add i -> Printf.sprintf "add %d" i
+  | Find i -> Printf.sprintf "find %d" i
+  | Flush -> "flush"
+  | Reload -> "reload"
+
+let cache_lru_matches_scan_property =
+  let metrics = lazy (Eval.point Space.baseline) in
+  let point i = { Space.baseline with Space.depth = i + 1 } in
+  QCheck.Test.make ~name:"cache evicts exactly the O(n) scan's victims" ~count:40
+    QCheck.(
+      pair (int_range 1 5)
+        (make
+           ~print:(fun ops -> String.concat "; " (List.map show_cache_op ops))
+           Gen.(list_size (int_range 1 60) cache_op_gen)))
+    (fun (capacity, ops) ->
+      with_tmp_store (fun path ->
+          let m = { ticks = Hashtbl.create 16; now = 0; evicted = 0 } in
+          let c = ref (Cache.create ~capacity ~store:path ()) in
+          let live_keys () =
+            List.sort compare
+              (List.map (fun (p, _) -> Key.of_point p) (Cache.entries !c))
+          in
+          let ref_keys () =
+            List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) m.ticks [])
+          in
+          List.for_all
+            (fun op ->
+              let agrees =
+                match op with
+                | Add i ->
+                    let k = Key.of_point (point i) in
+                    if not (Hashtbl.mem m.ticks k) && Hashtbl.length m.ticks >= capacity
+                    then ref_evict m;
+                    ref_touch m k;
+                    Cache.add !c (point i) (Lazy.force metrics);
+                    true
+                | Find i ->
+                    let k = Key.of_point (point i) in
+                    let present = Hashtbl.mem m.ticks k in
+                    if present then ref_touch m k;
+                    Cache.find !c (point i) <> None = present
+                | Flush ->
+                    Cache.flush !c;
+                    true
+                | Reload ->
+                    (* what the store holds is the reference's live set, all
+                       at tick 0, trimmed to capacity by the same scan *)
+                    Cache.flush !c;
+                    let stored =
+                      if Sys.file_exists path then begin
+                        let s, records, _ =
+                          Segstore.open_store ~flow:Eval.flow_version path
+                        in
+                        Segstore.close s;
+                        List.map fst records
+                      end
+                      else []
+                    in
+                    Hashtbl.reset m.ticks;
+                    List.iter (fun k -> Hashtbl.replace m.ticks k 0) stored;
+                    m.now <- 0;
+                    m.evicted <- 0;
+                    while Hashtbl.length m.ticks > capacity do
+                      ref_evict m
+                    done;
+                    c := Cache.create ~capacity ~store:path ();
+                    true
+              in
+              agrees
+              && live_keys () = ref_keys ()
+              && (Cache.stats !c).Cache.evictions = m.evicted)
+            ops))
+
 let replace_substring ~from ~into s =
   let fl = String.length from in
   let buf = Buffer.create (String.length s) in
@@ -493,6 +609,7 @@ let suite =
     ("eval rejects malformed", `Quick, test_eval_rejects_malformed);
     ("cache LRU eviction", `Quick, test_cache_lru_eviction);
     ("cache persistence + clear", `Quick, test_cache_persistence_and_clear);
+    QCheck_alcotest.to_alcotest cache_lru_matches_scan_property;
     ("cache stale flow reads cold", `Quick, test_cache_flow_version_mismatch_reads_cold);
     ("cache corrupt store reads cold", `Quick, test_cache_corrupt_store_reads_cold);
     ("pool matches sequential at 1/2/4 domains", `Quick, test_pool_matches_sequential);

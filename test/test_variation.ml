@@ -66,6 +66,198 @@ let mc_domains_identical_property =
           && MC.percentile r 50. = MC.percentile base 50.)
         [ 2; 4 ])
 
+(* --- retained standard normals: an independent scalar oracle --- *)
+
+(* What every run must equal, however many of its normals were retained
+   from earlier runs: die [i] of shard [s] (1024 dies a shard) is
+   [nominal x sample_speed_factor] on the [s]-th split of the master seed,
+   one scalar draw at a time. A run's samples are a prefix of a longer
+   run's, so one reference per (seed, model) serves every die count. *)
+let reference ~seed ~model ~nominal_mhz ~dies =
+  let master = Gap_util.Rng.create ~seed () in
+  let out = Array.make dies 0. in
+  for s = 0 to ((dies + 1023) / 1024) - 1 do
+    let rng = Gap_util.Rng.split master in
+    for i = s * 1024 to min dies ((s + 1) * 1024) - 1 do
+      out.(i) <- nominal_mhz *. V.sample_speed_factor model rng
+    done
+  done;
+  out
+
+let same_bits (r : MC.run) expected =
+  let n = Gap_util.Stats.buf_length r.MC.fmax_mhz in
+  let ok = ref (n <= Array.length expected) in
+  for i = 0 to n - 1 do
+    if !ok then
+      ok :=
+        Int64.equal
+          (Int64.bits_of_float r.MC.fmax_mhz.{i})
+          (Int64.bits_of_float expected.(i))
+  done;
+  !ok
+
+(* The retention rule, as the counters must report it: a run reuses the
+   shards retained for its seed and draws the rest. When its seed is the
+   retained one or the previous run's, it leaves retained the first
+   [min shards 64] of its seed, unless as many were already kept. *)
+type retention = {
+  mutable r_seed : int64 option;
+  mutable r_shards : int;
+  mutable r_last : int64 option;
+}
+
+let expect_counts ret ~seed ~dies =
+  let shards = (dies + 1023) / 1024 in
+  let held = if ret.r_seed = Some seed then ret.r_shards else 0 in
+  let admitted = held > 0 || ret.r_last = Some seed in
+  ret.r_last <- Some seed;
+  let reused = min shards held in
+  let keep = if admitted then min shards 64 else 0 in
+  if keep > held then begin
+    ret.r_seed <- Some seed;
+    ret.r_shards <- keep
+  end;
+  (reused, shards - reused)
+
+let counted f =
+  let sink = Gap_obs.Obs.recorder () in
+  let r = Gap_obs.Obs.with_sink sink f in
+  ( r,
+    ( Gap_obs.Obs.counter_value sink "mc.shards_reused",
+      Gap_obs.Obs.counter_value sink "mc.shards_drawn" ) )
+
+let oracle_max_dies = (70 * 1024) + 300
+let oracle_models = [| V.make V.mature; V.make ~fab_mean:V.best_fab V.new_process |]
+
+let oracle_refs = Hashtbl.create 8
+
+let oracle_ref seed m =
+  match Hashtbl.find_opt oracle_refs (seed, m) with
+  | Some r -> r
+  | None ->
+      let r =
+        reference ~seed ~model:oracle_models.(m) ~nominal_mhz:250.
+          ~dies:oracle_max_dies
+      in
+      Hashtbl.replace oracle_refs (seed, m) r;
+      r
+
+(* one step: simulate, then check the samples against the oracle and the
+   reuse counters against the retention rule *)
+let oracle_step ret (seed, m, dies, domains) =
+  let r, counts =
+    counted (fun () ->
+        MC.simulate ~seed ~domains ~model:oracle_models.(m) ~nominal_mhz:250. ~dies ())
+  in
+  let expected = expect_counts ret ~seed ~dies in
+  (same_bits r (oracle_ref seed m), counts = expected)
+
+let test_mc_reuse_matches_oracle () =
+  let ret = { r_seed = None; r_shards = 0; r_last = None } in
+  List.iter
+    (fun ((seed, m, dies, domains) as step) ->
+      let bits, counts = oracle_step ret step in
+      let what = Printf.sprintf "seed %Ld model %d dies %d domains %d" seed m dies domains in
+      Alcotest.(check bool) (what ^ ": samples equal the oracle") true bits;
+      Alcotest.(check bool) (what ^ ": reuse counters") true counts)
+    [
+      (* a first run keeps nothing; the second on its seed starts the stream *)
+      (4242L, 0, 3000, 1);
+      (* shrink, other model *)
+      (4242L, 1, 1500, 2);
+      (* grow past what is retained *)
+      (4242L, 0, 9999, 4);
+      (* switch seeds once, then back *)
+      (4343L, 0, 5123, 2);
+      (4242L, 1, 7001, 1);
+      (* cross the 64-shard cap, then reuse all 64 of it *)
+      (4242L, 1, (70 * 1024) + 300, 4);
+      (4242L, 0, 66_001, 1);
+      (4343L, 1, 777, 4);
+      (* a second run in a row on the other seed replaces the stream *)
+      (4343L, 1, 4000, 2);
+      (4242L, 0, 3000, 4);
+      (4242L, 1, 2049, 1);
+    ]
+
+let mc_reuse_oracle_property =
+  (* random sequences over two seeds and two models; two one-die runs on an
+     unrelated seed first make it the retained one, so every sequence
+     starts from a known state *)
+  let fresh = ref 90_000L in
+  QCheck.Test.make ~name:"mc reuse equals the scalar oracle" ~count:6
+    QCheck.(
+      list_of_size (Gen.int_range 1 6)
+        (quad (oneofl [ 4242L; 4343L ]) (int_bound 1)
+           (int_range 1 oracle_max_dies) (oneofl [ 1; 2; 4 ])))
+    (fun steps ->
+      fresh := Int64.succ !fresh;
+      for _ = 1 to 2 do
+        ignore (MC.simulate ~seed:!fresh ~model:oracle_models.(0) ~nominal_mhz:250. ~dies:1 ())
+      done;
+      let ret = { r_seed = Some !fresh; r_shards = 1; r_last = Some !fresh } in
+      List.for_all
+        (fun (seed, m, dies, domains) ->
+          (* the shrinker may step below [int_range]'s bound *)
+          let bits, counts = oracle_step ret (seed, m, max 1 dies, domains) in
+          bits && counts)
+        steps)
+
+let test_mc_reuse_after_worker_death () =
+  (* a killed worker degrades as before, and the failed parallel run
+     publishes nothing: the sequential rerun draws every shard again. A
+     one-die run first makes the seed the previous one, so both attempts
+     would keep what they draw. *)
+  let seed = 4444L and dies = 5000 in
+  let shards = (dies + 1023) / 1024 in
+  let ref_ = reference ~seed ~model:oracle_models.(0) ~nominal_mhz:250. ~dies in
+  let simulate domains () =
+    MC.simulate ~seed ~domains ~model:oracle_models.(0) ~nominal_mhz:250. ~dies ()
+  in
+  ignore (MC.simulate ~seed ~model:oracle_models.(0) ~nominal_mhz:250. ~dies:1 ());
+  let sink = Gap_obs.Obs.recorder () in
+  let result, report =
+    Gap_obs.Obs.with_sink sink (fun () ->
+        Gap_resilience.Fault.with_plan
+          [ Gap_resilience.Fault.spec "mc.worker" Gap_resilience.Stage_error.Worker_kill ]
+          (simulate 4))
+  in
+  (match result with
+  | Ok r ->
+      Alcotest.(check bool) "fault fired" true
+        (List.assoc_opt "mc.worker" report.Gap_resilience.Fault.injected = Some 1);
+      Alcotest.(check int) "degraded" 1 (Gap_obs.Obs.counter_value sink "mc.degraded_runs");
+      Alcotest.(check int) "nothing reused" 0 (Gap_obs.Obs.counter_value sink "mc.shards_reused");
+      Alcotest.(check int) "both attempts drew every shard" (2 * shards)
+        (Gap_obs.Obs.counter_value sink "mc.shards_drawn");
+      Alcotest.(check bool) "degraded run equals the oracle" true (same_bits r ref_)
+  | Error e -> Alcotest.failf "degradation failed: %s" (Printexc.to_string e));
+  List.iter
+    (fun d ->
+      let r, (reused, drawn) = counted (simulate d) in
+      Alcotest.(check bool) (Printf.sprintf "next call at %d domains equals the oracle" d) true
+        (same_bits r ref_);
+      Alcotest.(check (pair int int)) "next call reuses every shard" (shards, 0) (reused, drawn))
+    [ 1; 2; 4 ]
+
+let test_mc_retention_capped () =
+  (* after a one-die run on its seed, a 1M-die run keeps 64 shards and
+     draws the rest into worker scratch; run again, exactly 64 come back *)
+  let seed = 4545L and dies = 1_000_000 in
+  let shards = (dies + 1023) / 1024 in
+  let model = oracle_models.(0) in
+  ignore (MC.simulate ~seed ~model ~nominal_mhz:250. ~dies:1 ());
+  let a = MC.simulate ~seed ~domains:2 ~model ~nominal_mhz:250. ~dies () in
+  let b, counts =
+    counted (fun () -> MC.simulate ~seed ~domains:2 ~model ~nominal_mhz:250. ~dies ())
+  in
+  Alcotest.(check (pair int int)) "64 reused, the rest drawn" (64, shards - 64) counts;
+  Alcotest.(check bool) "samples identical" true (a.MC.fmax_mhz = b.MC.fmax_mhz);
+  let _, counts =
+    counted (fun () -> MC.simulate ~seed ~model ~nominal_mhz:250. ~dies:((64 * 1024) + 1) ())
+  in
+  Alcotest.(check (pair int int)) "one shard past the cap is drawn" (64, 1) counts
+
 let test_mc_percentiles_ordered () =
   let r = run () in
   let p1 = MC.percentile r 1. and p50 = MC.percentile r 50. and p99 = MC.percentile r 99. in
@@ -226,6 +418,10 @@ let suite =
     ("MC deterministic by seed", `Quick, test_mc_deterministic);
     ("MC identical across domains", `Quick, test_mc_domains_identical);
     QCheck_alcotest.to_alcotest mc_domains_identical_property;
+    ("MC reuse equals the scalar oracle", `Quick, test_mc_reuse_matches_oracle);
+    QCheck_alcotest.to_alcotest mc_reuse_oracle_property;
+    ("MC reuse after worker death", `Quick, test_mc_reuse_after_worker_death);
+    ("MC retains at most 64 shards", `Quick, test_mc_retention_capped);
     ("MC percentiles ordered", `Quick, test_mc_percentiles_ordered);
     ("fraction above", `Quick, test_fraction_above);
     ("binning counts", `Quick, test_binning_counts);
