@@ -7,6 +7,8 @@ type entry = {
   e_key : string;
   e_point : Space.point;
   e_metrics : Eval.metrics;
+  mutable e_doc : string option;
+      (** the rendered metrics document, kept from the first {!find_doc} on *)
   mutable older : entry option;  (** LRU neighbours; the oldest goes first *)
   mutable newer : entry option;
   mutable self : entry option;
@@ -15,7 +17,15 @@ type entry = {
 
 let make_entry key p m =
   let e =
-    { e_key = key; e_point = p; e_metrics = m; older = None; newer = None; self = None }
+    {
+      e_key = key;
+      e_point = p;
+      e_metrics = m;
+      e_doc = None;
+      older = None;
+      newer = None;
+      self = None;
+    }
   in
   e.self <- Some e;
   e
@@ -35,7 +45,9 @@ type t = {
   mutable oldest : entry option;  (* ends of the LRU list over [tbl] *)
   mutable newest : entry option;
   mutable backend : backend;
-  mutable pending : entry list;  (* adds since the last flush, newest first *)
+  mutable pending : (entry * string option) list;
+      (* adds since the last flush, newest first, each with the metrics
+         document its caller rendered, if any; empty without a store *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -68,13 +80,11 @@ type store_status =
 
 (* --- segment-record payloads --- *)
 
-let payload_of_entry e =
-  Json.to_string
-    (Json.Obj
-       [
-         ("point", Space.point_json e.e_point);
-         ("metrics", Eval.to_json e.e_metrics);
-       ])
+let doc_of e =
+  match e.e_doc with Some d -> d | None -> Json.to_string (Eval.to_json e.e_metrics)
+
+let payload e doc =
+  Json.rendered_obj [ ("point", Json.to_string (Space.point_json e.e_point)); ("metrics", doc) ]
 
 let entry_of_payload ~store key payload =
   let fail detail =
@@ -177,35 +187,52 @@ let touch t e =
       unlink t e;
       push_newest t e
 
-let find t p =
-  match Hashtbl.find_opt t.tbl (Key.of_point p) with
+let lookup t key =
+  match Hashtbl.find_opt t.tbl key with
   | Some e ->
       touch t e;
       t.hits <- t.hits + 1;
       Obs.incr "dse.cache.hit";
-      Some e.e_metrics
+      Some e
   | None ->
       t.misses <- t.misses + 1;
       Obs.incr "dse.cache.miss";
       None
 
-let add t p m =
-  let key = Key.of_point p in
-  let e =
+let find_keyed t key = Option.map (fun e -> e.e_metrics) (lookup t key)
+
+let find_doc t key =
+  Option.map
+    (fun e ->
+      let d = doc_of e in
+      if Option.is_none e.e_doc then e.e_doc <- Some d;
+      (e.e_metrics, d))
+    (lookup t key)
+
+let find t p = find_keyed t (Key.of_point p)
+
+let add_keyed ?doc t key p m =
+  let e, doc =
     match Hashtbl.find_opt t.tbl key with
     | Some e ->
+        (* the entry keeps its first metrics, so its record renders them *)
         touch t e;
-        e
+        (e, None)
     | None ->
         if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
         let e = make_entry key p m in
         push_newest t e;
         Hashtbl.add t.tbl key e;
-        e
+        (e, doc)
   in
-  t.pending <- e :: t.pending;
-  t.dirty <- true;
+  (match t.backend with
+  | Mem -> ()
+  | Seg _ | Lazy_store _ ->
+      t.pending <- (e, doc) :: t.pending;
+      t.dirty <- true);
   Obs.incr "dse.cache.store"
+
+let add t p m = add_keyed t (Key.of_point p) p m
 
 (* pending adds, newest-first -> one record per key, sorted for
    deterministic on-disk order *)
@@ -213,7 +240,7 @@ let pending_records t =
   let seen = Hashtbl.create 16 in
   let uniq =
     List.filter
-      (fun e ->
+      (fun (e, _) ->
         if Hashtbl.mem seen e.e_key then false
         else begin
           Hashtbl.add seen e.e_key ();
@@ -221,10 +248,10 @@ let pending_records t =
         end)
       t.pending
   in
-  List.sort (fun a b -> String.compare a.e_key b.e_key) uniq
+  List.sort (fun (a, _) (b, _) -> String.compare a.e_key b.e_key) uniq
 
 let encoded_entries t =
-  List.map (fun e -> (e.e_key, payload_of_entry e)) (sorted_entries t)
+  List.map (fun e -> (e.e_key, payload e (doc_of e))) (sorted_entries t)
 
 (* compaction threshold: rewrite once the log holds enough superseded
    records that replay cost is dominated by garbage *)
@@ -242,8 +269,8 @@ let do_flush t =
         (try Sys.remove path with Sys_error _ -> ());
       let s, _, _ = Segstore.open_store ~flow:Eval.flow_version path in
       List.iter
-        (fun e -> Segstore.append s ~key:e.e_key (payload_of_entry e))
-        (sorted_entries t);
+        (fun (key, pl) -> Segstore.append s ~key pl)
+        (encoded_entries t);
       t.backend <- Seg s;
       t.pending <- []
   | Seg s ->
@@ -255,10 +282,11 @@ let do_flush t =
       end
       else begin
         List.iter
-          (fun e ->
+          (fun (e, doc) ->
             (* an entry evicted from memory after being queued still
                persists: the record outlives the LRU, matching a log *)
-            Segstore.append s ~key:e.e_key (payload_of_entry e))
+            let doc = match doc with Some d -> d | None -> doc_of e in
+            Segstore.append s ~key:e.e_key (payload e doc))
           (pending_records t);
         t.pending <- [];
         if compact_due s ~live:(Hashtbl.length t.tbl) then

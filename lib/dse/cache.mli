@@ -43,8 +43,40 @@ val create : ?capacity:int -> ?store:string -> unit -> t
 val recovery_note : t -> string option
 (** The torn-tail note from the opening recovery, if one was truncated. *)
 
+(** {1 Lookups and insertions}
+
+    The keyed calls take the point's {!Key.of_point}, so a caller that
+    already holds it (the daemon hashes each request once, before taking
+    its lock; a sweep once per point) does not derive it again.
+    {!find} and {!add} hash the point themselves. *)
+
+val find_keyed : t -> string -> Eval.metrics option
+(** The entry under [key], touched as most recently used; counts a hit or a
+    miss. *)
+
+val find_doc : t -> string -> (Eval.metrics * string) option
+(** {!find_keyed}, plus the entry's metrics document:
+    [Json.to_string (Eval.to_json m)], byte for byte. The entry keeps the
+    document from its first [find_doc] on, so every later one returns the
+    stored bytes and renders nothing. An entry is not given a document when
+    it is added, because a daemon writing fresh points would then keep one
+    for every entry and never read most of them again; kept documents go
+    with their entries on eviction, so they cost at most [capacity]
+    documents (about 250 bytes each). *)
+
+val add_keyed : ?doc:string -> t -> string -> Space.point -> Eval.metrics -> unit
+(** Insert [m] for [p] under [key], evicting the least recently used entry
+    at capacity. A key already present keeps its first metrics and is only
+    touched. [doc], when given, must be
+    [Json.to_string (Eval.to_json m)]: the next flush writes it as the
+    record's metrics part instead of rendering them again, then drops it.
+    Without a store nothing is queued for a flush. *)
+
 val find : t -> Space.point -> Eval.metrics option
+(** [find_keyed t (Key.of_point p)]. *)
+
 val add : t -> Space.point -> Eval.metrics -> unit
+(** [add_keyed t (Key.of_point p) p m]. *)
 
 val flush : t -> unit
 (** Persist the adds since the last flush as appended records (no-op
@@ -59,7 +91,8 @@ val try_flush : t -> (unit, Gap_resilience.Stage_error.t) result
 
 val compact : t -> unit
 (** Flush, then force a compaction: rewrite the store to exactly the live
-    entries in a fresh generation. *)
+    entries in a fresh generation. An entry's kept metrics document is
+    written as it is; the others are rendered. *)
 
 val entries : t -> (Space.point * Eval.metrics) list
 (** Every live entry, sorted by cache key — deterministic whatever order

@@ -25,13 +25,14 @@ let run_interruptible ~budget ~cache pts =
      Array.iter
        (fun p ->
          if !fresh >= budget then raise Exit;
-         match Cache.find cache p with
+         let key = Key.of_point p in
+         match Cache.find_keyed cache key with
          | Some m -> kept := (p, m) :: !kept
          | None -> (
              let o = Supervisor.run_stage ~stage (fun () -> Eval.point p) in
              match o.Supervisor.result with
              | Ok m ->
-                 Cache.add cache p m;
+                 Cache.add_keyed cache key p m;
                  Cache.flush cache;
                  incr fresh;
                  kept := (p, m) :: !kept
@@ -41,7 +42,8 @@ let run_interruptible ~budget ~cache pts =
   (Array.of_list (List.rev !kept), List.rev !failed)
 
 let run_full ~domains ~cache pts =
-  let lookups = Array.map (fun p -> Cache.find cache p) pts in
+  let keys = Array.map Key.of_point pts in
+  let lookups = Array.map (Cache.find_keyed cache) keys in
   let miss_idx = ref [] in
   Array.iteri
     (fun i l -> if Option.is_none l then miss_idx := i :: !miss_idx)
@@ -55,7 +57,7 @@ let run_full ~domains ~cache pts =
       match outcomes.(k) with
       | Ok m ->
           lookups.(i) <- Some m;
-          Cache.add cache pts.(i) m
+          Cache.add_keyed cache keys.(i) pts.(i) m
       | Error e -> failed := (pts.(i), e) :: !failed)
     miss_idx;
   Cache.flush cache;

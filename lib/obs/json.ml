@@ -31,23 +31,43 @@ let escape_to buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The C primitive behind [Printf]'s [%g]: [Printf.sprintf "%.12g" x] is
+   exactly [format_float "%.12g" x], minus the interpretation of a format
+   string on every call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* shortest decimal form that reads back to the same float; integral values
    keep a ".0" so they re-parse as Float, not Int *)
 let float_repr x =
   if not (Float.is_finite x) then "null"
   else
-    let s = Printf.sprintf "%.12g" x in
-    let s = if float_of_string s = x then s else Printf.sprintf "%.17g" x in
+    let s = format_float "%.12g" x in
+    let s = if float_of_string s = x then s else format_float "%.17g" x in
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
     else s ^ ".0"
 
+let nl_pad ~indent buf lv =
+  if indent > 0 then begin
+    Buffer.add_char buf '\n';
+    Buffer.add_string buf (String.make (indent * lv) ' ')
+  end
+
+(* the one spelling of an object: [value] writes each field's value *)
+let fields_to ~indent ~level buf value kvs =
+  Buffer.add_char buf '{';
+  List.iteri
+    (fun i (k, x) ->
+      if i > 0 then Buffer.add_char buf ',';
+      nl_pad ~indent buf (level + 1);
+      escape_to buf k;
+      Buffer.add_char buf ':';
+      if indent > 0 then Buffer.add_char buf ' ';
+      value x)
+    kvs;
+  nl_pad ~indent buf level;
+  Buffer.add_char buf '}'
+
 let rec render ~indent ~level buf v =
-  let nl_pad lv =
-    if indent > 0 then begin
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (String.make (indent * lv) ' ')
-    end
-  in
   match v with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
@@ -60,29 +80,22 @@ let rec render ~indent ~level buf v =
       List.iteri
         (fun i x ->
           if i > 0 then Buffer.add_char buf ',';
-          nl_pad (level + 1);
+          nl_pad ~indent buf (level + 1);
           render ~indent ~level:(level + 1) buf x)
         xs;
-      nl_pad level;
+      nl_pad ~indent buf level;
       Buffer.add_char buf ']'
   | Obj [] -> Buffer.add_string buf "{}"
-  | Obj kvs ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, x) ->
-          if i > 0 then Buffer.add_char buf ',';
-          nl_pad (level + 1);
-          escape_to buf k;
-          Buffer.add_char buf ':';
-          if indent > 0 then Buffer.add_char buf ' ';
-          render ~indent ~level:(level + 1) buf x)
-        kvs;
-      nl_pad level;
-      Buffer.add_char buf '}'
+  | Obj kvs -> fields_to ~indent ~level buf (render ~indent ~level:(level + 1) buf) kvs
 
 let to_string ?(pretty = false) v =
   let buf = Buffer.create 256 in
   render ~indent:(if pretty then 2 else 0) ~level:0 buf v;
+  Buffer.contents buf
+
+let rendered_obj fields =
+  let buf = Buffer.create 256 in
+  fields_to ~indent:0 ~level:0 buf (Buffer.add_string buf) fields;
   Buffer.contents buf
 
 (* --- parsing --- *)

@@ -121,6 +121,9 @@ let response_of_json j =
 
 let render_response r = Json.to_string (response_to_json r)
 
+let render_ok ~id doc =
+  Json.rendered_obj [ ("id", string_of_int id); ("ok", "true"); ("result", doc) ]
+
 (* --- addresses --- *)
 
 type addr = Unix_sock of string | Tcp of string * int

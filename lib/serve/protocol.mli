@@ -56,6 +56,16 @@ val response_of_json : Json.t -> (response, string) result
 val render_response : response -> string
 (** One JSONL line (no trailing newline). *)
 
+val render_ok : id:int -> string -> string
+(** [render_ok ~id doc] is the success line
+    [{"id":N,"ok":true,"result":DOC}] around a result that is already
+    rendered. When [doc = Json.to_string j] it is byte-identical to
+    [render_response {r_id = id; body = Ok j}]: it writes the same fields
+    in the same order through {!Gap_obs.Json.rendered_obj}, the renderer's
+    own object syntax, with the id rendered as an [Int] is. The daemon
+    answers an eval with it from the document its cache keeps, rendering
+    nothing per request. *)
+
 (** {1 Addresses} *)
 
 type addr =

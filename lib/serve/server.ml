@@ -33,13 +33,17 @@ let default_config addr =
     idle_timeout_s = None;
   }
 
+(* An evaluated point and its metrics document, [Json.to_string
+   (Eval.to_json m)]: rendered once, then written as it is. *)
+type scored = Eval.metrics * string
+
 (* One in-flight evaluation. Requests for the same key attach to the same
    slot; the scheduler fills [sl_result] exactly once and broadcasts. *)
 type slot = {
   sl_key : string;
   sl_point : Space.point;
   sl_client : int;  (* owner for the queue-bound accounting *)
-  mutable sl_result : (Eval.metrics, Stage_error.t) result option;
+  mutable sl_result : (scored, Stage_error.t) result option;
 }
 
 type client_q = {
@@ -202,6 +206,17 @@ let collect_batch t =
   done;
   Array.of_list (List.rev !batch)
 
+(* A failing disk must not kill the daemon: the typed error is counted and
+   recorded, and the pending records stay queued for the next attempt.
+   Callers hold the lock. *)
+let flush_cache t =
+  match Cache.try_flush t.cache with
+  | Ok () -> ()
+  | Error e ->
+      t.n_flush_failures <- t.n_flush_failures + 1;
+      Obs.incr "serve.flush_failures";
+      Obs.event "serve.flush_failed" [ ("error", Stage_error.to_json e) ]
+
 let resolve_batch t batch outcomes =
   t.n_evals <- t.n_evals + Array.length batch;
   Array.iteri
@@ -210,7 +225,7 @@ let resolve_batch t batch outcomes =
       slot.sl_result <- Some outcome;
       Hashtbl.remove t.inflight slot.sl_key;
       (match outcome with
-      | Ok m -> Cache.add t.cache slot.sl_point m
+      | Ok (m, doc) -> Cache.add_keyed ~doc t.cache slot.sl_key slot.sl_point m
       | Error _ -> ());
       match Hashtbl.find_opt t.clients slot.sl_client with
       | Some cl ->
@@ -219,15 +234,8 @@ let resolve_batch t batch outcomes =
       | None -> ())
     batch;
   (* one crash-only append per batch: a kill at any instant leaves at worst
-     a torn tail recovery truncates. A failing disk must not kill the
-     scheduler — the typed error is recorded and the pending records stay
-     queued for the next batch's attempt. *)
-  match Cache.try_flush t.cache with
-  | Ok () -> ()
-  | Error e ->
-      t.n_flush_failures <- t.n_flush_failures + 1;
-      Obs.incr "serve.flush_failures";
-      Obs.event "serve.flush_failed" [ ("error", Stage_error.to_json e) ]
+     a torn tail recovery truncates *)
+  flush_cache t
 
 (* Run one batch through the supervised pool. [Fault.point "serve.batch"]
    sits inside the retry scope, so an injected transient recovers invisibly;
@@ -267,85 +275,85 @@ let scheduler_loop t =
     if Array.length batch > 0 then begin
       let pts = Array.map (fun s -> s.sl_point) batch in
       (* every evaluation runs through the supervised pool: a poisoned
-         point produces a typed Stage_error outcome, never a dead server *)
-      let outcomes = eval_batch t pts in
+         point produces a typed Stage_error outcome, never a dead server.
+         Each result is rendered here, outside the lock, once: the same
+         bytes answer its waiters and become its store record. *)
+      let outcomes =
+        Array.map
+          (Result.map (fun m -> (m, Json.to_string (Eval.to_json m))))
+          (eval_batch t pts)
+      in
       locked t (fun () ->
           resolve_batch t batch outcomes;
           Condition.broadcast t.done_cond)
     end
   done;
   locked t (fun () ->
-      (match Cache.try_flush t.cache with
-      | Ok () -> ()
-      | Error e ->
-          t.n_flush_failures <- t.n_flush_failures + 1;
-          Obs.incr "serve.flush_failures";
-          Obs.event "serve.flush_failed" [ ("error", Stage_error.to_json e) ]);
+      flush_cache t;
       Condition.broadcast t.done_cond)
 
 (* --- the request paths (called from connection threads) --- *)
 
-(* Evaluate [pts] for [cl], pipelined through the shared machinery:
-   cache hits resolve immediately, in-flight duplicates coalesce onto the
-   existing slot, the rest enqueue under the per-client bound (blocking —
-   and therefore back-pressuring the socket — when the bound is hit).
-   Returns outcomes in input order. *)
-let eval_points t cl pts =
-  let n = Array.length pts in
-  let staged = Array.make n None in
+(* Evaluate the [(key, point)] pairs for [cl], pipelined through the shared
+   machinery: cache hits resolve immediately, in-flight duplicates coalesce
+   onto the existing slot, the rest enqueue under the per-client bound
+   (blocking — and therefore back-pressuring the socket — when the bound is
+   hit). The caller hashes each point before the lock is taken. Returns
+   outcomes in input order. *)
+let eval_points t cl keyed =
   locked t (fun () ->
       let fresh = ref false in
-      Array.iteri
-        (fun i p ->
-          match Cache.find t.cache p with
-          | Some m ->
-              t.n_cache_hits <- t.n_cache_hits + 1;
-              Obs.incr "serve.cache_hit";
-              staged.(i) <- Some (`Done (Ok m))
-          | None -> (
-              let key = Key.of_point p in
-              match Hashtbl.find_opt t.inflight key with
-              | Some slot ->
-                  t.n_coalesced <- t.n_coalesced + 1;
-                  Obs.incr "serve.coalesced";
-                  staged.(i) <- Some (`Wait slot)
-              | None ->
-                  while cl.cl_inflight >= t.cfg.queue_bound && not t.stopping do
-                    Condition.wait t.done_cond t.lock
-                  done;
-                  if t.stopping then
-                    staged.(i) <- Some (`Refused (Protocol.Overloaded "server shutting down"))
-                  else begin
-                    let slot =
-                      { sl_key = key; sl_point = p; sl_client = cl.cl_id; sl_result = None }
-                    in
-                    Hashtbl.add t.inflight key slot;
-                    Queue.push slot cl.cl_queue;
-                    cl.cl_inflight <- cl.cl_inflight + 1;
-                    t.n_queued <- t.n_queued + 1;
-                    fresh := true;
-                    staged.(i) <- Some (`Wait slot)
-                  end))
-        pts;
+      (* [Array.init] stages the points in order, as their queueing needs *)
+      let staged =
+        Array.init (Array.length keyed) (fun i ->
+            let key, p = keyed.(i) in
+            match Cache.find_doc t.cache key with
+            | Some scored ->
+                t.n_cache_hits <- t.n_cache_hits + 1;
+                Obs.incr "serve.cache_hit";
+                `Done (Ok scored)
+            | None -> (
+                match Hashtbl.find_opt t.inflight key with
+                | Some slot ->
+                    t.n_coalesced <- t.n_coalesced + 1;
+                    Obs.incr "serve.coalesced";
+                    `Wait slot
+                | None ->
+                    while cl.cl_inflight >= t.cfg.queue_bound && not t.stopping do
+                      Condition.wait t.done_cond t.lock
+                    done;
+                    if t.stopping then `Refused (Protocol.Overloaded "server shutting down")
+                    else begin
+                      let slot =
+                        { sl_key = key; sl_point = p; sl_client = cl.cl_id; sl_result = None }
+                      in
+                      Hashtbl.add t.inflight key slot;
+                      Queue.push slot cl.cl_queue;
+                      cl.cl_inflight <- cl.cl_inflight + 1;
+                      t.n_queued <- t.n_queued + 1;
+                      fresh := true;
+                      `Wait slot
+                    end))
+      in
       if !fresh then Condition.signal t.work_cond;
+      let rec await slot =
+        match slot.sl_result with
+        | Some r -> r
+        | None ->
+            Condition.wait t.done_cond t.lock;
+            await slot
+      in
       Array.map
-        (function
-          | Some (`Done r) -> Ok r
-          | Some (`Refused e) -> Error e
-          | Some (`Wait slot) ->
-              while Option.is_none slot.sl_result do
-                Condition.wait t.done_cond t.lock
-              done;
-              Ok (Option.get slot.sl_result)
-          | None -> assert false)
+        (function `Done r -> Ok r | `Refused e -> Error e | `Wait slot -> Ok (await slot))
         staged)
 
 let point_metrics_json (p, m) =
   Json.Obj [ ("point", Space.point_json p); ("metrics", Eval.to_json m) ]
 
+(* the metrics document of [p], as the cache keeps it *)
 let eval_op t cl p =
-  match (eval_points t cl [| p |]).(0) with
-  | Ok (Ok m) -> Ok (Eval.to_json m)
+  match (eval_points t cl [| (Key.of_point p, p) |]).(0) with
+  | Ok (Ok (_, doc)) -> Ok doc
   | Ok (Error e) -> Error (Protocol.Stage e)
   | Error e -> Error e
 
@@ -353,13 +361,14 @@ let eval_op t cl p =
    a time; within a chunk the pool still evaluates misses in parallel. *)
 let eval_preset t cl space =
   let pts = Array.of_list (Space.enumerate space) in
+  let keyed = Array.map (fun p -> (Key.of_point p, p)) pts in
   let n = Array.length pts in
   let out = Array.make n (Error (Protocol.Overloaded "unreached")) in
   let chunk = max 1 t.cfg.queue_bound in
   let i = ref 0 in
   while !i < n do
     let len = min chunk (n - !i) in
-    let res = eval_points t cl (Array.sub pts !i len) in
+    let res = eval_points t cl (Array.sub keyed !i len) in
     Array.blit res 0 out !i len;
     i := !i + len
   done;
@@ -370,7 +379,7 @@ let sweep_doc ~preset pts out =
   Array.iteri
     (fun i p ->
       match out.(i) with
-      | Ok (Ok m) -> kept := (p, m) :: !kept
+      | Ok (Ok (m, _)) -> kept := (p, m) :: !kept
       | Ok (Error e) -> failed := (p, e) :: !failed
       | Error _ -> incr refused)
     pts;
@@ -528,13 +537,7 @@ let stop t =
       (fun fd ->
         try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
       conns;
-    locked t (fun () ->
-        match Cache.try_flush t.cache with
-        | Ok () -> ()
-        | Error e ->
-            t.n_flush_failures <- t.n_flush_failures + 1;
-            Obs.incr "serve.flush_failures";
-            Obs.event "serve.flush_failed" [ ("error", Stage_error.to_json e) ]);
+    locked t (fun () -> flush_cache t);
     locked t (fun () ->
         t.stopped <- true;
         Condition.broadcast t.stopped_cond)
@@ -553,36 +556,66 @@ let wait t =
 
 (* --- connections --- *)
 
+let note_error t =
+  locked t (fun () -> t.n_errors <- t.n_errors + 1);
+  Obs.incr "serve.errors"
+
+(* The finished response line for [req]. A successful eval is written
+   around the metrics document the cache keeps; every other answer is
+   rendered from its JSON. *)
 let handle_request t cl req =
-  let body =
-    match req.Protocol.op with
-    | Protocol.Eval p -> eval_op t cl p
-    | Protocol.Sweep preset -> sweep_op t cl preset
-    | Protocol.Pareto preset -> pareto_op t cl preset
-    | Protocol.Stats -> Ok (stats_json t)
-    | Protocol.Ping -> Ok (Json.Str "pong")
-    | Protocol.Shutdown -> Ok (Json.Str "stopping")
+  let id = req.Protocol.id in
+  let render body =
+    (match body with Error _ -> note_error t | Ok _ -> ());
+    Protocol.render_response { Protocol.r_id = id; body }
   in
-  { Protocol.r_id = req.Protocol.id; body }
+  match req.Protocol.op with
+  | Protocol.Eval p -> (
+      match eval_op t cl p with
+      | Ok doc -> Protocol.render_ok ~id doc
+      | Error e -> render (Error e))
+  | Protocol.Sweep preset -> render (sweep_op t cl preset)
+  | Protocol.Pareto preset -> render (pareto_op t cl preset)
+  | Protocol.Stats -> render (Ok (stats_json t))
+  | Protocol.Ping -> render (Ok (Json.Str "pong"))
+  | Protocol.Shutdown -> render (Ok (Json.Str "stopping"))
 
 let remove_conn t fd =
   locked t (fun () -> t.conns <- List.filter (fun c -> c != fd) t.conns)
 
 (* A line-at-a-time socket reader built on [select], so a connection thread
    parked on a silent client wakes up when the idle deadline passes instead
-   of blocking in [read] forever. Carries its own buffer of bytes read past
-   the last newline. *)
+   of blocking in [read] forever. Every byte is scanned for a newline once,
+   when it is read: [chunk.(lo..hi-1)] holds the bytes of the last read not
+   yet consumed, and [partial] the earlier reads' part of the line they
+   continue, so a long line costs time linear in its length. *)
 type read_outcome = Line of string | Eof | Idle
 
 let conn_reader fd =
-  let pending = ref "" in
   let chunk = Bytes.create 4096 in
+  let lo = ref 0 and hi = ref 0 in
+  let partial = Buffer.create 256 in
   let take_line () =
-    match String.index_opt !pending '\n' with
-    | None -> None
+    let rec newline i =
+      if i >= !hi then None else if Bytes.get chunk i = '\n' then Some i else newline (i + 1)
+    in
+    match newline !lo with
+    | None ->
+        Buffer.add_subbytes partial chunk !lo (!hi - !lo);
+        lo := !hi;
+        None
     | Some i ->
-        let line = String.sub !pending 0 i in
-        pending := String.sub !pending (i + 1) (String.length !pending - i - 1);
+        let line =
+          if Buffer.length partial = 0 then Bytes.sub_string chunk !lo (i - !lo)
+          else begin
+            Buffer.add_subbytes partial chunk !lo (i - !lo);
+            let l = Buffer.contents partial in
+            (* [reset], not [clear]: a long line must not pin its storage *)
+            Buffer.reset partial;
+            l
+          end
+        in
+        lo := i + 1;
         Some line
   in
   let rec next timeout_s =
@@ -603,14 +636,15 @@ let conn_reader fd =
           match Unix.read fd chunk 0 (Bytes.length chunk) with
           | 0 ->
               (* EOF with unterminated leftover: deliver it as a last line *)
-              if !pending = "" then Eof
+              if Buffer.length partial = 0 then Eof
               else begin
-                let l = !pending in
-                pending := "";
+                let l = Buffer.contents partial in
+                Buffer.reset partial;
                 Line l
               end
           | n ->
-              pending := !pending ^ Bytes.sub_string chunk 0 n;
+              lo := 0;
+              hi := n;
               next timeout_s
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> next timeout_s)
   in
@@ -619,8 +653,8 @@ let conn_reader fd =
 let handle_conn t fd =
   let oc = Unix.out_channel_of_descr fd in
   let cl = locked t (fun () -> register_client t) in
-  let respond resp =
-    output_string oc (Protocol.render_response resp);
+  let respond line =
+    output_string oc line;
     output_char oc '\n';
     flush oc
   in
@@ -640,14 +674,15 @@ let handle_conn t fd =
            | _, _ :: _, _ ->
                (try
                   respond
-                    {
-                      Protocol.r_id = 0;
-                      body =
-                        Error
-                          (Protocol.Timeout
-                             (Printf.sprintf
-                                "idle for more than %gs; disconnecting" timeout));
-                    }
+                    (Protocol.render_response
+                       {
+                         Protocol.r_id = 0;
+                         body =
+                           Error
+                             (Protocol.Timeout
+                                (Printf.sprintf
+                                   "idle for more than %gs; disconnecting" timeout));
+                       })
                 with Sys_error _ | Unix.Unix_error _ -> ())
            | _ -> ()
            | exception Unix.Unix_error _ -> ());
@@ -662,19 +697,13 @@ let handle_conn t fd =
                match Protocol.parse_request line with
                | Error e ->
                    Obs.annotate [ ("op", Json.Str "invalid") ];
-                   locked t (fun () -> t.n_errors <- t.n_errors + 1);
-                   Obs.incr "serve.errors";
+                   note_error t;
                    respond
-                     { Protocol.r_id = 0; body = Error (Protocol.Bad_request e) }
+                     (Protocol.render_response
+                        { Protocol.r_id = 0; body = Error (Protocol.Bad_request e) })
                | Ok req ->
                    Obs.annotate [ ("op", Json.Str (Protocol.op_name req.Protocol.op)) ];
-                   let resp = handle_request t cl req in
-                   (match resp.Protocol.body with
-                   | Error _ ->
-                       locked t (fun () -> t.n_errors <- t.n_errors + 1);
-                       Obs.incr "serve.errors"
-                   | Ok _ -> ());
-                   respond resp;
+                   respond (handle_request t cl req);
                    match req.Protocol.op with
                    | Protocol.Shutdown ->
                        running := false;

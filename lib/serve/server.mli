@@ -15,6 +15,12 @@
     requests for one point cost exactly one evaluation (observable as
     [dse.pool.jobs] and the [serve.coalesced] counter).
 
+    Render once: the scheduler renders each fresh result's metrics
+    document once, outside the lock; those bytes answer its waiters and
+    become its store record. A cache hit is answered from the document its
+    cache entry keeps ({!Gap_dse.Cache.find_doc}), and each request's point
+    is hashed to its key once, before the lock is taken.
+
     Backpressure: each client may have at most [queue_bound] points queued;
     further eval requests from that client block (its reader thread stops
     consuming the socket, so the kernel's TCP/unix-socket buffers push back

@@ -341,6 +341,82 @@ let replace_substring ~from ~into s =
   Buffer.add_string buf (String.sub s !i (String.length s - !i));
   Buffer.contents buf
 
+(* Records are assembled around metrics documents: rendered by the caller
+   at add time, kept by an entry from its first hit, or rendered at flush
+   or compaction. However a record was written, its payload must be the
+   one [Json.to_string] gives for the whole object, and a hit's document
+   the one it gives for the metrics. The store sees a first flush, an
+   append, a compaction, re-adds and evictions (capacity 8 of 15 points),
+   then is reopened. *)
+let test_store_records_byte_identical () =
+  with_tmp_store (fun path ->
+      let scored =
+        Space.enumerate (Option.get (Space.find_preset "depth-x-sizing"))
+        |> List.map (fun p -> (Key.of_point p, p, Eval.point p))
+        |> Array.of_list
+      in
+      let doc m = Json.to_string (Eval.to_json m) in
+      let reference = Hashtbl.create 16 in
+      Array.iter
+        (fun (k, p, m) ->
+          Hashtbl.replace reference k
+            (Json.to_string
+               (Json.Obj [ ("point", Space.point_json p); ("metrics", Eval.to_json m) ])))
+        scored;
+      let c = ref (Cache.create ~capacity:8 ~store:path ()) in
+      let add i =
+        let k, p, m = scored.(i) in
+        if i mod 2 = 0 then Cache.add_keyed ~doc:(doc m) !c k p m else Cache.add !c p m
+      in
+      let hit i =
+        let k, _, m = scored.(i) in
+        match Cache.find_doc !c k with
+        | Some (_, d) -> Alcotest.(check string) (Printf.sprintf "hit %d document" i) (doc m) d
+        | None -> ()
+      in
+      let adds lo hi = for i = lo to hi do add i done in
+      let hits lo hi = for i = lo to hi do hit i; hit i done in
+      adds 0 4;
+      Cache.flush !c;
+      hits 0 4;
+      adds 5 9;
+      hits 2 7;
+      Cache.flush !c;
+      hits 3 9;
+      Cache.compact !c;
+      adds 10 14;
+      hits 9 12;
+      adds 11 12;
+      Cache.flush !c;
+      let s, records, _ = Segstore.open_store ~flow:Eval.flow_version path in
+      Segstore.close s;
+      Alcotest.(check bool) "the store holds records" true (List.length records >= 8);
+      List.iter
+        (fun (k, payload) ->
+          Alcotest.(check string) ("record " ^ k) (Hashtbl.find reference k) payload)
+        records;
+      c := Cache.create ~capacity:8 ~store:path ();
+      hits 0 14)
+
+(* Without a store no flush ever runs, so an add must not queue a record
+   for one: 20,000 adds to a 16-entry cache keep 16 entries alive, not
+   20,000 queued ones. *)
+let test_storeless_cache_stays_bounded () =
+  let c = Cache.create ~capacity:16 () in
+  let m = Eval.point Space.baseline in
+  (* [Gc.stat] runs a full major collection first *)
+  let live () = (Gc.stat ()).Gc.live_words in
+  let add i =
+    let p = { Space.baseline with Space.sigma_scale = 1. +. (1e-6 *. float_of_int i) } in
+    Cache.add_keyed ~doc:(Json.to_string (Eval.to_json m)) c (Key.of_point p) p m
+  in
+  for i = 1 to 100 do add i done;
+  let before = live () in
+  for i = 101 to 20_100 do add i done;
+  let grown = live () - before in
+  Alcotest.(check int) "entries" 16 (Cache.stats c).Cache.entries;
+  if grown > 100_000 then Alcotest.failf "the heap grew by %d words over 20,000 adds" grown
+
 let test_cache_flow_version_mismatch_reads_cold () =
   with_tmp_store (fun path ->
       let c = Cache.create ~store:path () in
@@ -611,6 +687,8 @@ let suite =
     ("cache persistence + clear", `Quick, test_cache_persistence_and_clear);
     QCheck_alcotest.to_alcotest cache_lru_matches_scan_property;
     ("cache stale flow reads cold", `Quick, test_cache_flow_version_mismatch_reads_cold);
+    ("cache records byte-identical", `Quick, test_store_records_byte_identical);
+    ("storeless cache stays bounded", `Quick, test_storeless_cache_stays_bounded);
     ("cache corrupt store reads cold", `Quick, test_cache_corrupt_store_reads_cold);
     ("pool matches sequential at 1/2/4 domains", `Quick, test_pool_matches_sequential);
     ("pool worker kill degrades, loses nothing", `Quick,

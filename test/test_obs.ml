@@ -224,6 +224,16 @@ let json_roundtrip_property =
       Json.of_string (Json.to_string v) = Ok v
       && Json.of_string (Json.to_string ~pretty:true v) = Ok v)
 
+let rendered_obj_property =
+  QCheck.Test.make ~name:"rendered_obj of rendered fields = to_string" ~count:500
+    (QCheck.make
+       ~print:(fun kvs -> Json.to_string (Json.Obj kvs))
+       QCheck.Gen.(list_size (0 -- 5) (pair (string_size (0 -- 6)) json_gen)))
+    (fun kvs ->
+      String.equal
+        (Json.rendered_obj (List.map (fun (k, v) -> (k, Json.to_string v)) kvs))
+        (Json.to_string (Json.Obj kvs)))
+
 let float_repr_stability_property =
   QCheck.Test.make ~name:"float_repr is shortest-form stable" ~count:1000
     QCheck.(map (fun f -> if Float.is_finite f then f else 1.5) float)
@@ -232,6 +242,55 @@ let float_repr_stability_property =
       (* reads back to the same float, and re-rendering the read-back value
          reproduces the representation exactly (no drift) *)
       float_of_string r = f && Json.float_repr (float_of_string r) = r)
+
+(* [float_repr] as it read when it formatted through [Printf]: the bytes
+   the primitive call must reproduce exactly *)
+let float_repr_printf x =
+  if not (Float.is_finite x) then "null"
+  else
+    let s = Printf.sprintf "%.12g" x in
+    let s = if float_of_string s = x then s else Printf.sprintf "%.17g" x in
+    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
+    else s ^ ".0"
+
+let float_repr_edge_cases =
+  [
+    0.; -0.;
+    (* subnormals: the smallest, the largest, one in between *)
+    5e-324; -5e-324; 2.2250738585072009e-308; 1e-310;
+    Float.max_float; -.Float.max_float; Float.min_float; -.Float.min_float;
+    Float.epsilon;
+    (* integral values, which take the ".0" suffix until %g switches to an
+       exponent *)
+    1.; -1.; 42.; 1e11; 123456789012.; 1e15; 4503599627370496.; 1e21; 1e22;
+    0.1; 0.5; 36.; 44.;
+    (* values that need all 17 digits *)
+    0.1 +. 0.2; 1. /. 3.; Float.pi; 1. +. Float.epsilon; 4.35;
+    Float.nan; Float.infinity; Float.neg_infinity;
+  ]
+
+let test_float_repr_edge_cases () =
+  List.iter
+    (fun x ->
+      Alcotest.(check string)
+        (Printf.sprintf "float_repr %h" x)
+        (float_repr_printf x) (Json.float_repr x))
+    float_repr_edge_cases
+
+(* every bit pattern, NaNs and infinities included, plus the kinds of value
+   the flow renders: integral, short decimals, QCheck's own floats *)
+let float_repr_matches_printf_property =
+  QCheck.Test.make ~name:"float_repr = the Printf reference" ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%h")
+       QCheck.Gen.(
+         oneof
+           [
+             map Int64.float_of_bits ui64;
+             float;
+             map float_of_int int;
+             map2 (fun i k -> float_of_int i /. (10. ** float_of_int k)) int (0 -- 20);
+           ]))
+    (fun x -> String.equal (Json.float_repr x) (float_repr_printf x))
 
 let test_json_surrogate_pairs () =
   (* U+1F600 as an escaped surrogate pair must decode to 4-byte UTF-8 *)
@@ -451,10 +510,16 @@ let suite =
     ("spans csv shape", `Quick, test_spans_csv);
     ("json surrogate pairs", `Quick, test_json_surrogate_pairs);
     ("float_repr corpus", `Quick, test_float_repr_corpus);
+    ("float_repr edge cases = Printf", `Quick, test_float_repr_edge_cases);
     ("span major words", `Quick, test_span_major_words);
     ("trace span alloc fields", `Quick, test_trace_has_alloc_fields);
     ("tracing leaves E6 byte-identical", `Slow, test_instrumentation_is_inert);
     ("variation spans under E9", `Slow, test_variation_spans);
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ json_roundtrip_property; float_repr_stability_property ]
+      [
+        json_roundtrip_property;
+        rendered_obj_property;
+        float_repr_stability_property;
+        float_repr_matches_printf_property;
+      ]

@@ -92,6 +92,64 @@ let test_protocol_roundtrip () =
       Alcotest.(check string) "overloaded detail" "full" m
   | _ -> Alcotest.fail "overloaded did not round-trip"
 
+(* An eval is answered by [render_ok] around the metrics document the
+   cache keeps; its bytes must be [render_response]'s for the parsed form.
+   The metrics are those of real points, the FPGA backend's included, and
+   records of arbitrary float bit patterns (NaN and infinities render as
+   null on both sides). *)
+let scored_metrics =
+  lazy
+    (List.concat_map
+       (fun name -> Space.enumerate (Option.get (Space.find_preset name)))
+       [ "backend"; "depth-x-sizing" ]
+    |> List.map (fun p -> (p, Eval.point p)))
+
+let check_eval_line id m =
+  let expect = Protocol.render_response { Protocol.r_id = id; body = Ok (Eval.to_json m) } in
+  String.equal expect (Protocol.render_ok ~id (Json.to_string (Eval.to_json m)))
+
+let test_eval_line_edge_ids () =
+  let scored = Lazy.force scored_metrics in
+  Alcotest.(check bool)
+    "FPGA points among the metrics" true
+    (List.exists (fun (p, _) -> p.Space.backend = Space.Fpga) scored);
+  List.iter
+    (fun id ->
+      List.iter
+        (fun (p, m) ->
+          if not (check_eval_line id m) then
+            Alcotest.failf "id %d, %s: render_ok differs from render_response" id
+              (Space.to_canonical p))
+        scored)
+    [ 0; 1; -1; -42; max_int; min_int ]
+
+let eval_line_property =
+  let metrics =
+    QCheck.Gen.(
+      oneof
+        [
+          (fun st ->
+            let scored = Array.of_list (Lazy.force scored_metrics) in
+            snd scored.(Random.State.int st (Array.length scored)));
+          (fun st ->
+            let f () = Int64.float_of_bits (ui64 st) in
+            let m = Eval.point Space.baseline in
+            {
+              Eval.delay_ps = f ();
+              freq_mhz = f ();
+              area = f ();
+              power = f ();
+              factors = List.map (fun (k, _) -> (k, f ())) m.Eval.factors;
+              composite = f ();
+            });
+        ])
+  in
+  QCheck.Test.make ~name:"eval line = render_response of Eval.to_json" ~count:2000
+    (QCheck.make
+       ~print:(fun (id, m) -> Printf.sprintf "id %d, %s" id (Json.to_string (Eval.to_json m)))
+       QCheck.Gen.(pair (oneof [ int; small_signed_int; return max_int; return min_int ]) metrics))
+    (fun (id, m) -> check_eval_line id m)
+
 let test_addr_parsing () =
   (match Protocol.addr_of_string "/tmp/x.sock" with
   | Ok (Protocol.Unix_sock p) -> Alcotest.(check string) "unix path" "/tmp/x.sock" p
@@ -286,6 +344,66 @@ let test_malformed_line_survives () =
           | Error e -> Alcotest.fail e);
           Alcotest.(check bool) "connection still usable" true (Client.ping cl)))
 
+(* A garbage line of several MiB with no newline, arriving over many
+   writes, is one bad request; the connection then answers a valid eval,
+   sent in two writes a moment apart so that it spans two reads, byte for
+   byte. The reader scans each byte once, so this costs milliseconds;
+   rescanning the whole line on every 4 KiB read cost seconds of the
+   domain every connection shares. *)
+(* Runs [f], stopping [t] if [f] has not returned after [s] seconds: the
+   connection then reads EOF, so a daemon that never answers fails the
+   test instead of hanging it. *)
+let with_deadline t s f =
+  let finished = Atomic.make false in
+  let watchdog =
+    Thread.create
+      (fun () ->
+        let t0 = Unix.gettimeofday () in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () -. t0 < s do
+          Thread.delay 0.05
+        done;
+        if not (Atomic.get finished) then Server.stop t)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set finished true;
+      Thread.join watchdog)
+    f
+
+let test_long_garbage_line () =
+  with_server (fun t addr ->
+      with_deadline t 20. (fun () ->
+        with_client addr (fun cl ->
+            let piece = String.make 65536 'x' in
+            for _ = 1 to 64 do
+              Client.send_raw cl piece
+            done;
+            (match Client.raw_roundtrip cl "" with
+            | Ok resp -> (
+                match Json.of_string resp with
+                | Ok j -> (
+                    match Option.bind (Json.member "error" j) (Json.member "kind") with
+                    | Some (Json.Str "bad-request") -> ()
+                    | _ -> Alcotest.failf "expected bad-request, got %s" resp)
+                | Error e -> Alcotest.fail e)
+            | Error e -> Alcotest.fail e);
+            let p = fresh_point () in
+            let line =
+              Json.to_string (Protocol.request_to_json { Protocol.id = 3; op = Protocol.Eval p })
+            in
+            let half = String.length line / 2 in
+            Client.send_raw cl (String.sub line 0 half);
+            Thread.delay 0.02;
+            match Client.raw_roundtrip cl (String.sub line half (String.length line - half)) with
+            | Ok resp ->
+                Alcotest.(check string)
+                  "then the eval, byte-identical"
+                  (Protocol.render_response
+                     { Protocol.r_id = 3; body = Ok (Eval.to_json (Eval.point p)) })
+                  resp
+            | Error e -> Alcotest.fail e)))
+
 let test_sweep_and_pareto_ops () =
   with_server (fun _ addr ->
       with_client addr (fun cl ->
@@ -437,6 +555,9 @@ let suite =
       test_concurrent_coalesce ~clients:32 ~waves:4 ~unique:2 );
     ("poisoned request returns typed error", `Quick, test_poisoned_request_typed_error);
     ("malformed line survives", `Quick, test_malformed_line_survives);
+    ("multi-MiB garbage line, then an eval", `Quick, test_long_garbage_line);
+    ("eval line at edge ids = render_response", `Quick, test_eval_line_edge_ids);
+    QCheck_alcotest.to_alcotest eval_line_property;
     ("sweep and pareto over the wire", `Quick, test_sweep_and_pareto_ops);
     ("store survives restart", `Quick, test_store_survives_restart);
     ("stop idempotent, socket removed", `Quick, test_stop_idempotent_and_refuses_new_conns);
