@@ -86,7 +86,7 @@ val flush : t -> unit
 
 val try_flush : t -> (unit, Gap_resilience.Stage_error.t) result
 (** {!flush} for callers that must survive a failing disk (the serve
-    scheduler): the typed error is returned instead of raised and the
+    daemon's batches): the typed error is returned instead of raised and the
     pending records stay queued for the next attempt. *)
 
 val compact : t -> unit

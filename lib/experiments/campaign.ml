@@ -547,7 +547,7 @@ let row_batch check =
 let row_worker check =
   (* the variation preset's binned Monte Carlo points: pool workers hold
      their claims long enough that spawned domains reach [dse.worker] more
-     often than the seeded skip before the scheduler's domain drains the
+     often than the seeded skip before the calling domain drains the
      batch *)
   with_server ~domains:4 (fun _ addr ->
       with_client addr (fun cl ->

@@ -45,9 +45,9 @@ let catalog =
      "a fixed-fabric routing hop delay is corrupted to NaN; strict gates \
       and the supervised STA NaN scan reject it with a typed diagnostic");
     ("serve.batch", [ Stage_error.Transient ],
-     "a server scheduler batch dies before evaluation; the scheduler retries \
-      the batch, then resolves every attached request with a typed error \
-      instead of wedging its clients");
+     "a server batch dies before evaluation; the request thread running it \
+      retries the batch, then resolves every attached request with a typed \
+      error instead of wedging its clients");
   ]
 
 let layer site =

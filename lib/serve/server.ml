@@ -38,7 +38,8 @@ let default_config addr =
 type scored = Eval.metrics * string
 
 (* One in-flight evaluation. Requests for the same key attach to the same
-   slot; the scheduler fills [sl_result] exactly once and broadcasts. *)
+   slot; the batch that evaluates it fills [sl_result] exactly once and
+   broadcasts. *)
 type slot = {
   sl_key : string;
   sl_point : Space.point;
@@ -59,6 +60,7 @@ type stats = {
   coalesced : int;
   cache_hits : int;
   errors : int;
+  pending : int;
   batches : int;
   max_batch : int;
   clients_seen : int;
@@ -69,8 +71,7 @@ type stats = {
 type t = {
   cfg : config;
   lock : Mutex.t;
-  work_cond : Condition.t;  (* scheduler: work arrived / shutdown *)
-  done_cond : Condition.t;  (* waiters: results landed / queue room freed *)
+  done_cond : Condition.t;  (* a batch ended: results landed, room freed *)
   stopped_cond : Condition.t;
   cache : Cache.t;
   inflight : (string, slot) Hashtbl.t;
@@ -78,13 +79,13 @@ type t = {
   mutable client_order : int list;  (* ascending ids: round-robin universe *)
   mutable rr_cursor : int;  (* rotate fairness start point per batch *)
   mutable n_queued : int;  (* total slots sitting in client queues *)
+  mutable busy : bool;  (* a request thread is running a batch *)
   mutable next_client : int;
   mutable stopping : bool;
   mutable stopped : bool;
   mutable listen_fd : Unix.file_descr option;
   mutable conns : Unix.file_descr list;  (* live accepted sockets *)
   mutable accept_thread : Thread.t option;
-  mutable sched_thread : Thread.t option;
   (* accounting (under [lock]) *)
   mutable n_requests : int;
   mutable n_evals : int;
@@ -105,7 +106,6 @@ let create cfg =
   {
     cfg;
     lock = Mutex.create ();
-    work_cond = Condition.create ();
     done_cond = Condition.create ();
     stopped_cond = Condition.create ();
     cache = Cache.create ~capacity:cfg.capacity ?store:cfg.store ();
@@ -114,13 +114,13 @@ let create cfg =
     client_order = [];
     rr_cursor = 0;
     n_queued = 0;
+    busy = false;
     next_client = 0;
     stopping = false;
     stopped = false;
     listen_fd = None;
     conns = [];
     accept_thread = None;
-    sched_thread = None;
     n_requests = 0;
     n_evals = 0;
     n_coalesced = 0;
@@ -136,6 +136,12 @@ let create cfg =
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+
+(* [f] with the lock released, for a caller that holds it and holds it
+   again when [f] returns or raises *)
+let unlocked t f =
+  Mutex.unlock t.lock;
+  Fun.protect ~finally:(fun () -> Mutex.lock t.lock) f
 
 (* --- client bookkeeping (callers hold the lock) --- *)
 
@@ -158,7 +164,7 @@ let release_client t cl =
   cl.cl_gone <- true;
   reap_client t cl
 
-(* --- the scheduler --- *)
+(* --- batches --- *)
 
 (* Round-robin batch collection: walk the client list starting at the
    rotating cursor, taking at most [fair_share] slots per client per pass,
@@ -240,7 +246,7 @@ let resolve_batch t batch outcomes =
 (* Run one batch through the supervised pool. [Fault.point "serve.batch"]
    sits inside the retry scope, so an injected transient recovers invisibly;
    on exhaustion every slot in the batch resolves with the typed error
-   instead of the scheduler dying and wedging its clients. *)
+   instead of the batch raising and wedging its waiters. *)
 let eval_batch t pts =
   let run () =
     Obs.span "serve.batch"
@@ -251,46 +257,45 @@ let eval_batch t pts =
   in
   match Supervisor.retry ~stage:"serve.batch" run with
   | outcomes -> outcomes
-  | exception Stage_error.Stage_failure e -> Array.map (fun _ -> Error e) pts
+  | exception exn ->
+      (* whatever escapes, the batch's waiters get an answer and [busy] is
+         cleared: the thread running it is one of theirs *)
+      let e = Stage_error.of_exn ~stage:"serve.batch" exn in
+      Array.map (fun _ -> Error e) pts
 
-let scheduler_loop t =
-  let running = ref true in
-  while !running do
-    let batch =
-      locked t (fun () ->
-          while t.n_queued = 0 && not t.stopping do
-            Condition.wait t.work_cond t.lock
-          done;
-          if t.n_queued = 0 && t.stopping then begin
-            running := false;
-            [||]
-          end
-          else begin
-            let b = collect_batch t in
-            t.n_batches <- t.n_batches + 1;
-            if Array.length b > t.max_batch then t.max_batch <- Array.length b;
-            b
-          end)
-    in
-    if Array.length batch > 0 then begin
-      let pts = Array.map (fun s -> s.sl_point) batch in
-      (* every evaluation runs through the supervised pool: a poisoned
-         point produces a typed Stage_error outcome, never a dead server.
-         Each result is rendered here, outside the lock, once: the same
-         bytes answer its waiters and become its store record. *)
-      let outcomes =
+(* Run one batch on the calling request thread. Callers hold the lock,
+   no batch is running and work is queued; [busy] keeps this the only
+   batch until it has resolved. The yield lets the threads already
+   runnable stage first, so the points a wave of requests sends at once
+   coalesce onto this batch or join it instead of each waiting a whole
+   evaluation behind the one before. *)
+let run_batch t =
+  t.busy <- true;
+  unlocked t Thread.yield;
+  let batch = collect_batch t in
+  t.n_batches <- t.n_batches + 1;
+  if Array.length batch > t.max_batch then t.max_batch <- Array.length batch;
+  let outcomes =
+    unlocked t (fun () ->
+        (* every evaluation runs through the supervised pool: a poisoned
+           point produces a typed Stage_error outcome, never a dead server.
+           Each result is rendered here, outside the lock, once: the same
+           bytes answer its waiters and become its store record. *)
         Array.map
           (Result.map (fun m -> (m, Json.to_string (Eval.to_json m))))
-          (eval_batch t pts)
-      in
-      locked t (fun () ->
-          resolve_batch t batch outcomes;
-          Condition.broadcast t.done_cond)
-    end
-  done;
-  locked t (fun () ->
-      flush_cache t;
-      Condition.broadcast t.done_cond)
+          (eval_batch t (Array.map (fun s -> s.sl_point) batch)))
+  in
+  resolve_batch t batch outcomes;
+  t.busy <- false;
+  Condition.broadcast t.done_cond
+
+(* One step of a wait in [eval_points]: run the next batch if none is
+   running and work is queued, else sleep until a batch ends. Every queued
+   slot has its requester blocked in such a wait, so queued work always
+   has a thread to run it. Callers hold the lock. *)
+let wait_or_run t =
+  if (not t.busy) && t.n_queued > 0 then run_batch t
+  else Condition.wait t.done_cond t.lock
 
 (* --- the request paths (called from connection threads) --- *)
 
@@ -302,7 +307,6 @@ let scheduler_loop t =
    outcomes in input order. *)
 let eval_points t cl keyed =
   locked t (fun () ->
-      let fresh = ref false in
       (* [Array.init] stages the points in order, as their queueing needs *)
       let staged =
         Array.init (Array.length keyed) (fun i ->
@@ -320,7 +324,7 @@ let eval_points t cl keyed =
                     `Wait slot
                 | None ->
                     while cl.cl_inflight >= t.cfg.queue_bound && not t.stopping do
-                      Condition.wait t.done_cond t.lock
+                      wait_or_run t
                     done;
                     if t.stopping then `Refused (Protocol.Overloaded "server shutting down")
                     else begin
@@ -331,16 +335,14 @@ let eval_points t cl keyed =
                       Queue.push slot cl.cl_queue;
                       cl.cl_inflight <- cl.cl_inflight + 1;
                       t.n_queued <- t.n_queued + 1;
-                      fresh := true;
                       `Wait slot
                     end))
       in
-      if !fresh then Condition.signal t.work_cond;
       let rec await slot =
         match slot.sl_result with
         | Some r -> r
         | None ->
-            Condition.wait t.done_cond t.lock;
+            wait_or_run t;
             await slot
       in
       Array.map
@@ -451,6 +453,7 @@ let stats t =
         coalesced = t.n_coalesced;
         cache_hits = t.n_cache_hits;
         errors = t.n_errors;
+        pending = Hashtbl.length t.inflight;
         batches = t.n_batches;
         max_batch = t.max_batch;
         clients_seen = t.clients_seen;
@@ -496,7 +499,6 @@ let stop t =
         if t.stopping then false
         else begin
           t.stopping <- true;
-          Condition.broadcast t.work_cond;
           Condition.broadcast t.done_cond;
           true
         end)
@@ -519,9 +521,12 @@ let stop t =
           try Unix.close s with Unix.Unix_error _ -> ()
         with Unix.Unix_error _ -> ())
     | None -> ());
-    (* the scheduler drains every queued slot before exiting, so attached
-       waiters all get real results *)
-    (match t.sched_thread with Some th -> Thread.join th | None -> ());
+    (* nothing is queued from here on, and the threads waiting on queued
+       slots run them, so attached waiters all get real results *)
+    locked t (fun () ->
+        while t.busy || t.n_queued > 0 do
+          Condition.wait t.done_cond t.lock
+        done);
     (match t.accept_thread with Some th -> Thread.join th | None -> ());
     (match t.listen_fd with
     | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
@@ -530,12 +535,13 @@ let stop t =
     (match t.cfg.addr with
     | Protocol.Unix_sock path -> ( try Sys.remove path with Sys_error _ -> ())
     | Protocol.Tcp _ -> ());
-    (* wake blocked readers: a half-closed socket reads EOF, ending its
-       connection thread *)
+    (* wake blocked readers: a socket shut for reading reads EOF, ending
+       its connection thread. The write side stays open, so an answer a
+       waiter has yet to write still reaches its client. *)
     let conns = locked t (fun () -> t.conns) in
     List.iter
       (fun fd ->
-        try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+        try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
       conns;
     locked t (fun () -> flush_cache t);
     locked t (fun () ->
@@ -588,31 +594,48 @@ let remove_conn t fd =
    of blocking in [read] forever. Every byte is scanned for a newline once,
    when it is read: [chunk.(lo..hi-1)] holds the bytes of the last read not
    yet consumed, and [partial] the earlier reads' part of the line they
-   continue, so a long line costs time linear in its length. *)
-type read_outcome = Line of string | Eof | Idle
+   continue, so a long line costs time linear in its length. A line longer
+   than [max_line_bytes] is not kept: once [partial] would pass the limit
+   its bytes are dropped up to the newline, which reads as [Too_long]. *)
+type read_outcome = Line of string | Too_long | Eof | Idle
+
+(* far above any real request: the longest, an eval, carries one point
+   of a few hundred bytes *)
+let max_line_bytes = 1 lsl 20
 
 let conn_reader fd =
   let chunk = Bytes.create 4096 in
   let lo = ref 0 and hi = ref 0 in
   let partial = Buffer.create 256 in
+  let skipping = ref false in
+  let too_long len = !skipping || Buffer.length partial + len > max_line_bytes in
   let take_line () =
     let rec newline i =
       if i >= !hi then None else if Bytes.get chunk i = '\n' then Some i else newline (i + 1)
     in
     match newline !lo with
     | None ->
-        Buffer.add_subbytes partial chunk !lo (!hi - !lo);
+        if too_long (!hi - !lo) then begin
+          (* [reset], not [clear]: a long line must not pin its storage *)
+          Buffer.reset partial;
+          skipping := true
+        end
+        else Buffer.add_subbytes partial chunk !lo (!hi - !lo);
         lo := !hi;
         None
     | Some i ->
         let line =
-          if Buffer.length partial = 0 then Bytes.sub_string chunk !lo (i - !lo)
+          if too_long (i - !lo) then begin
+            Buffer.reset partial;
+            skipping := false;
+            Too_long
+          end
+          else if Buffer.length partial = 0 then Line (Bytes.sub_string chunk !lo (i - !lo))
           else begin
             Buffer.add_subbytes partial chunk !lo (i - !lo);
             let l = Buffer.contents partial in
-            (* [reset], not [clear]: a long line must not pin its storage *)
             Buffer.reset partial;
-            l
+            Line l
           end
         in
         lo := i + 1;
@@ -620,7 +643,7 @@ let conn_reader fd =
   in
   let rec next timeout_s =
     match take_line () with
-    | Some l -> Line l
+    | Some l -> l
     | None -> (
         let readable =
           match timeout_s with
@@ -636,7 +659,11 @@ let conn_reader fd =
           match Unix.read fd chunk 0 (Bytes.length chunk) with
           | 0 ->
               (* EOF with unterminated leftover: deliver it as a last line *)
-              if Buffer.length partial = 0 then Eof
+              if !skipping then begin
+                skipping := false;
+                Too_long
+              end
+              else if Buffer.length partial = 0 then Eof
               else begin
                 let l = Buffer.contents partial in
                 Buffer.reset partial;
@@ -659,8 +686,32 @@ let handle_conn t fd =
     flush oc
   in
   let next_line = conn_reader fd in
+  let running = ref true in
+  (* every request runs under a span; spans are thread-safe, so concurrent
+     connection threads each keep their own stack *)
+  let serve parsed =
+    Obs.span "serve.request" (fun () ->
+        locked t (fun () -> t.n_requests <- t.n_requests + 1);
+        Obs.incr "serve.requests";
+        match parsed with
+        | Error e ->
+            Obs.annotate [ ("op", Json.Str "invalid") ];
+            note_error t;
+            respond
+              (Protocol.render_response
+                 { Protocol.r_id = 0; body = Error (Protocol.Bad_request e) })
+        | Ok req ->
+            Obs.annotate [ ("op", Json.Str (Protocol.op_name req.Protocol.op)) ];
+            respond (handle_request t cl req);
+            match req.Protocol.op with
+            | Protocol.Shutdown ->
+                running := false;
+                (* run the graceful shutdown off this thread so the
+                   connection can close promptly *)
+                ignore (Thread.create stop t)
+            | _ -> ())
+  in
   (try
-     let running = ref true in
      while !running do
        match next_line t.cfg.idle_timeout_s with
        | Eof -> running := false
@@ -688,29 +739,12 @@ let handle_conn t fd =
            | exception Unix.Unix_error _ -> ());
            running := false
        | Line line when String.trim line = "" -> ()
-       | Line line ->
-           (* every request runs under a span; spans are thread-safe, so
-              concurrent connection threads each keep their own stack *)
-           Obs.span "serve.request" (fun () ->
-               locked t (fun () -> t.n_requests <- t.n_requests + 1);
-               Obs.incr "serve.requests";
-               match Protocol.parse_request line with
-               | Error e ->
-                   Obs.annotate [ ("op", Json.Str "invalid") ];
-                   note_error t;
-                   respond
-                     (Protocol.render_response
-                        { Protocol.r_id = 0; body = Error (Protocol.Bad_request e) })
-               | Ok req ->
-                   Obs.annotate [ ("op", Json.Str (Protocol.op_name req.Protocol.op)) ];
-                   respond (handle_request t cl req);
-                   match req.Protocol.op with
-                   | Protocol.Shutdown ->
-                       running := false;
-                       (* run the graceful shutdown off this thread so the
-                          connection can close promptly *)
-                       ignore (Thread.create stop t)
-                   | _ -> ())
+       | Line line -> serve (Protocol.parse_request line)
+       | Too_long ->
+           serve
+             (Error
+                (Printf.sprintf "request line longer than %d bytes; discarded"
+                   max_line_bytes))
      done
    with
   | Sys_error _ | Unix.Unix_error _ -> ()
@@ -769,5 +803,4 @@ let start t =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let fd = bind_socket t.cfg.addr in
   t.listen_fd <- Some fd;
-  t.sched_thread <- Some (Thread.create scheduler_loop t);
   t.accept_thread <- Some (Thread.create (fun () -> accept_loop t fd) ())

@@ -86,9 +86,11 @@ let histogram ?(bins = 20) xs =
    Monte Carlo workloads sample millions of float64 values; a Bigarray
    buffer keeps them as flat unboxed memory that worker domains can write
    concurrently (disjoint ranges) without the GC moving it under them.
-   Percentile queries run as partial quickselect over a scratch copy —
-   each query is O(n) expected, and repeated queries on the same scratch
-   get cheaper as earlier partitions accumulate. *)
+   Order statistics never reorder the buffer. A rank within [n/32] of
+   either end is read in one pass that keeps that tail in a bounded binary
+   heap; any other rank runs quickselect on a copy. Both paths load every
+   sample, and a NaN, which has no place in an ascending order, is
+   rejected wherever it sits. *)
 
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -142,72 +144,145 @@ let buf_count_ge b x =
   done;
   !c
 
-(* Median-of-three Hoare quickselect. Reorders [b] in place; the k-th
-   smallest lands at index k with everything below it to the left. NaN
-   inputs would break the partition invariants, so they are rejected
-   rather than producing an arbitrary element. *)
-let buf_select (b : buf) k =
-  let n = buf_length b in
-  require_buf_nonempty "Gap_util.Stats.buf_select" b;
-  if k < 0 || k >= n then
-    invalid_arg
-      (Printf.sprintf "Gap_util.Stats.buf_select: rank %d outside [0,%d)" k n);
-  let get = Bigarray.Array1.unsafe_get b in
-  let set = Bigarray.Array1.unsafe_set b in
-  let swap i j =
-    let t = get i in
-    set i (get j);
-    set j t
-  in
-  let lo = ref 0 and hi = ref (n - 1) in
-  while !lo < !hi do
-    let mid = !lo + ((!hi - !lo) / 2) in
-    (* order (lo, mid, hi) so the pivot is a median and both ends act as
-       partition sentinels *)
-    if get mid < get !lo then swap mid !lo;
-    if get !hi < get !lo then swap !hi !lo;
-    if get !hi < get mid then swap !hi mid;
-    let pivot = get mid in
-    if Float.is_nan pivot then
-      invalid_arg "Gap_util.Stats.buf_select: NaN in sample";
-    let i = ref (!lo - 1) and j = ref (!hi + 1) in
-    let cut = ref !lo in
-    (try
-       while true do
-         incr i;
-         while get !i < pivot do
-           incr i
-         done;
-         decr j;
-         while get !j > pivot do
-           decr j
-         done;
-         if !i >= !j then begin
-           cut := !j;
-           raise Exit
-         end;
-         swap !i !j
-       done
-     with Exit -> ());
-    if k <= !cut then hi := !cut else lo := !cut + 1
+module A1 = Bigarray.Array1
+
+let nan_in_sample fn = invalid_arg (fn ^ ": NaN in sample")
+
+(* Sift [h.(i)] down the min-heap [h.(0..size-1)]. *)
+let sift_down (h : float array) size i =
+  let x = Array.unsafe_get h i in
+  let i = ref i and sinking = ref true in
+  while !sinking do
+    let c = (2 * !i) + 1 in
+    if c >= size then sinking := false
+    else begin
+      let c =
+        if c + 1 < size && Array.unsafe_get h (c + 1) < Array.unsafe_get h c
+        then c + 1
+        else c
+      in
+      let v = Array.unsafe_get h c in
+      if v < x then begin
+        Array.unsafe_set h !i v;
+        i := c
+      end
+      else sinking := false
+    end
   done;
-  get k
+  Array.unsafe_set h !i x
+
+(* The two smallest of the [m] largest values of [sign *. b] ([sign] is
+   [1.] or [-1.], so negation reads the bottom tail), in one pass over the
+   unsorted buffer: a min-heap holds the [m] largest values seen so far,
+   so at the end its root is the smallest of them and the smaller of the
+   root's children the next. With [m = 1] both are the root. *)
+let tail_pair fn (b : buf) ~sign m =
+  let h = Array.create_float m in
+  for j = 0 to m - 1 do
+    let x = sign *. A1.unsafe_get b j in
+    if Float.is_nan x then nan_in_sample fn;
+    Array.unsafe_set h j x
+  done;
+  for i = (m / 2) - 1 downto 0 do
+    sift_down h m i
+  done;
+  for j = m to buf_length b - 1 do
+    let x = sign *. A1.unsafe_get b j in
+    (* the root is never NaN, so a NaN sample fails this test too *)
+    if not (x <= Array.unsafe_get h 0) then begin
+      if Float.is_nan x then nan_in_sample fn;
+      Array.unsafe_set h 0 x;
+      sift_down h m 0
+    end
+  done;
+  let next =
+    if m = 1 then h.(0) else if m = 2 || h.(1) <= h.(2) then h.(1) else h.(2)
+  in
+  (h.(0), next)
+
+let swap (a : buf) i j =
+  let t = A1.unsafe_get a i in
+  A1.unsafe_set a i (A1.unsafe_get a j);
+  A1.unsafe_set a j t
+
+(* Median-of-three Hoare quickselect over [a], which holds no NaN: the
+   [k]-th smallest lands at index [k], with nothing larger before it and
+   nothing smaller after it. *)
+let select_in_place (a : buf) k =
+  let lo = ref 0 and hi = ref (buf_length a - 1) in
+  while !lo < !hi do
+    let l = !lo and h = !hi in
+    let mid = l + ((h - l) / 2) in
+    (* order (l, mid, h) so the pivot is a median and both ends act as
+       partition sentinels *)
+    if A1.unsafe_get a mid < A1.unsafe_get a l then swap a mid l;
+    if A1.unsafe_get a h < A1.unsafe_get a l then swap a h l;
+    if A1.unsafe_get a h < A1.unsafe_get a mid then swap a h mid;
+    let pivot = A1.unsafe_get a mid in
+    let i = ref (l - 1) and j = ref (h + 1) in
+    let crossed = ref false in
+    while not !crossed do
+      incr i;
+      while A1.unsafe_get a !i < pivot do
+        incr i
+      done;
+      decr j;
+      while A1.unsafe_get a !j > pivot do
+        decr j
+      done;
+      if !i >= !j then crossed := true else swap a !i !j
+    done;
+    if k <= !j then hi := !j else lo := !j + 1
+  done;
+  A1.unsafe_get a k
+
+(* Order statistics [lo] and [hi] of [b], where [hi] is [lo] or [lo + 1].
+   Each is a value, whichever algorithm finds it, so every path returns
+   what indexing the sorted copy would. *)
+let order_pair fn (b : buf) lo hi =
+  let n = buf_length b in
+  let tail = n / 32 in
+  if n - lo <= tail then tail_pair fn b ~sign:1. (n - lo)
+  else if hi + 1 <= tail then
+    (* the [hi + 1] smallest, negated: the root is [hi], the next [hi - 1] *)
+    let root, next = tail_pair fn b ~sign:(-1.) (hi + 1) in
+    ((if hi = lo then -.root else -.next), -.root)
+  else begin
+    let a = buf_create n in
+    for i = 0 to n - 1 do
+      let x = A1.unsafe_get b i in
+      if Float.is_nan x then nan_in_sample fn;
+      A1.unsafe_set a i x
+    done;
+    let v_lo = select_in_place a lo in
+    (v_lo, if hi = lo then v_lo else select_in_place a hi)
+  end
+
+let buf_select b k =
+  let fn = "Gap_util.Stats.buf_select" in
+  let n = buf_length b in
+  require_buf_nonempty fn b;
+  if k < 0 || k >= n then
+    invalid_arg (Printf.sprintf "%s: rank %d outside [0,%d)" fn k n);
+  fst (order_pair fn b k k)
 
 let buf_percentile b p =
-  require_buf_nonempty "Gap_util.Stats.buf_percentile" b;
+  let fn = "Gap_util.Stats.buf_percentile" in
+  require_buf_nonempty fn b;
   if not (p >= 0. && p <= 100.) then
-    invalid_arg
-      (Printf.sprintf
-         "Gap_util.Stats.buf_percentile: percentile %g not in [0,100]" p);
+    invalid_arg (Printf.sprintf "%s: percentile %g not in [0,100]" fn p);
   let n = buf_length b in
-  if n = 1 then Bigarray.Array1.get b 0
+  if n = 1 then begin
+    let x = A1.get b 0 in
+    if Float.is_nan x then nan_in_sample fn;
+    x
+  end
   else begin
     let rank = p /. 100. *. float_of_int (n - 1) in
     let lo = int_of_float (floor rank) in
     let hi = min (lo + 1) (n - 1) in
     let frac = rank -. float_of_int lo in
-    let v_lo = buf_select b lo in
-    let v_hi = if hi = lo then v_lo else buf_select b hi in
+    let v_lo, v_hi = order_pair fn b lo hi in
     v_lo +. (frac *. (v_hi -. v_lo))
   end
 

@@ -49,11 +49,12 @@ val histogram : ?bins:int -> float array -> (float * float * int) array
 
     Flat [float64] Bigarray buffers for large sample sets. Worker domains
     may write disjoint ranges concurrently (the buffer never moves under
-    the GC), and percentile queries run as partial quickselect instead of
-    a full sort: each query is expected O(n), and repeated queries over
-    the same buffer get cheaper as earlier partitions accumulate.
-    Structural equality ([=]) on two buffers compares dimensions and
-    contents, so byte-identity assertions work unchanged. *)
+    the GC). Order statistics are read without a sort and without
+    modifying the buffer: a rank within [n/32] of either end (p1 or p99 of
+    a few thousand samples, say) takes one pass that keeps only that tail
+    in a bounded heap, and any other rank runs median-of-three quickselect
+    on a copy. Structural equality ([=]) on two buffers compares
+    dimensions and contents, so byte-identity assertions work unchanged. *)
 
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -74,17 +75,18 @@ val buf_count_ge : buf -> float -> int
 (** Number of entries [>= x]; one pass, no ordering required. *)
 
 val buf_select : buf -> int -> float
-(** [buf_select b k] is the k-th smallest element (0-based), by in-place
-    median-of-three quickselect: [b] is partially reordered so index [k]
-    holds its final sorted value. Expected O(n); callers that must keep
-    the original order should pass a {!buf_copy}. [Invalid_argument] on an
-    empty buffer, an out-of-range rank, or a NaN pivot. *)
+(** [buf_select b k] is the k-th smallest element (0-based). [b] is not
+    modified. A tail rank costs one pass and a heap of at most [n/32]
+    floats; any other rank a copy of [b] and expected O(n) quickselect.
+    [Invalid_argument] on an empty buffer, an out-of-range rank, or a NaN
+    anywhere in [b]. *)
 
 val buf_percentile : buf -> float -> float
-(** Interpolated percentile over an {e unsorted} buffer via {!buf_select}
-    on the two bracketing order statistics — exactly the value
-    {!percentile_sorted} returns on the sorted copy, without the sort.
-    Partially reorders [b] like {!buf_select}. *)
+(** Interpolated percentile over an {e unsorted} buffer from the two
+    bracketing order statistics, found as {!buf_select} finds them:
+    exactly the value {!percentile_sorted} returns on the sorted copy,
+    without the sort. [b] is not modified. [Invalid_argument] on an empty
+    buffer, a percentile outside [\[0,100\]], or a NaN anywhere in [b]. *)
 
 val correlation : float array -> float array -> float
 (** Pearson correlation coefficient of two equal-length arrays. *)

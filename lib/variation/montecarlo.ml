@@ -5,7 +5,6 @@ type run = {
   nominal_mhz : float;
   fmax_mhz : Stats.buf;
   model : Model.t;
-  mutable scratch : Stats.buf option;
 }
 
 (* Dies are sampled in fixed-size shards, each from its own RNG split off the
@@ -248,7 +247,7 @@ let simulate_body ~seed ~domains ~model ~nominal_mhz ~dies =
   end;
   (* every worker has joined and none failed: the new shards are complete *)
   if grows then publish { seed; shards = kept };
-  { nominal_mhz; fmax_mhz; model; scratch = None }
+  { nominal_mhz; fmax_mhz; model }
 
 let simulate ?(seed = 2024L) ?(domains = 1) ~model ~nominal_mhz ~dies () =
   if dies <= 0 then
@@ -273,23 +272,7 @@ let simulate ?(seed = 2024L) ?(domains = 1) ~model ~nominal_mhz ~dies () =
           ];
         simulate_body ~seed ~domains:1 ~model ~nominal_mhz ~dies)
 
-(* Percentile queries select over a scratch copy of the sample buffer: the
-   copy is made once per run (the original stays in sampling order for
-   [fraction_above]/binning/economics scans) and each quickselect leaves it
-   a little more ordered, so repeated queries keep getting cheaper without
-   ever paying a full sort. *)
-let scratch run =
-  match run.scratch with
-  | Some b ->
-      Obs.incr "mc.percentile_cache.hit";
-      b
-  | None ->
-      Obs.incr "mc.percentile_cache.miss";
-      let b = Stats.buf_copy run.fmax_mhz in
-      run.scratch <- Some b;
-      b
-
-let percentile run p = Stats.buf_percentile (scratch run) p
+let percentile run p = Stats.buf_percentile run.fmax_mhz p
 let mean run = Stats.buf_mean run.fmax_mhz
 
 let spread run =

@@ -34,10 +34,6 @@ type run = {
   nominal_mhz : float;
   fmax_mhz : Gap_util.Stats.buf;  (** one entry per die, unsorted *)
   model : Model.t;
-  mutable scratch : Gap_util.Stats.buf option;
-      (** lazily created copy of [fmax_mhz] that percentile quickselects
-          partially reorder in place; managed by {!percentile}/{!spread},
-          do not mutate *)
 }
 
 val simulate :
@@ -74,10 +70,11 @@ val simulate :
     does the typed error propagate to the caller. *)
 
 val percentile : run -> float -> float
-(** Streaming percentile by partial quickselect over a scratch copy of the
-    samples — no full sort, expected O(dies) per query, and repeated
-    queries get cheaper as earlier partitions accumulate. Returns exactly
-    what sorting and interpolating would. *)
+(** {!Gap_util.Stats.buf_percentile} of the samples: exactly what sorting
+    and interpolating would return, without a sort. A tail percentile
+    (within 1/32 of either end, such as p1 or p99) is one read-only pass
+    that keeps only that tail; any other rank runs quickselect on its own
+    copy of the samples. The run is never modified. *)
 
 val mean : run -> float
 val spread : run -> float

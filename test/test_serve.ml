@@ -190,11 +190,15 @@ let test_serve_eval_byte_identical () =
           Alcotest.(check int) "one evaluation" 1 s.Server.evals;
           Alcotest.(check int) "second was a cache hit" 1 s.Server.cache_hits))
 
-(* Wave points run the binning Monte Carlo at 1M dies: the evaluation
-   must outlast a systhread preemption tick (~50 ms). A shorter one holds
-   the runtime lock until its result lands, so the followers degrade from
-   in-flight coalesces to plain cache hits and the coalescing path goes
-   unexercised. *)
+(* Wave points run the binning Monte Carlo at 4M dies, about 280 ms on a
+   2-CPU host: the evaluation must span several systhread preemption
+   ticks (~50 ms). The thread that evaluates a wave holds the domain's
+   runtime lock except at those ticks, and each client leaving the
+   barrier needs a turn of that lock, so the followers reach the daemon
+   about one tick apart; a shorter evaluation lands before most of them
+   and they degrade from in-flight coalesces to plain cache hits, leaving
+   the coalescing path unexercised. At 2M dies the wave table failed 10 of 25 idle
+   runs, and at 3M it passed with almost no margin. *)
 let wave_point =
   let n = ref 0 in
   fun () ->
@@ -203,7 +207,7 @@ let wave_point =
       Space.baseline with
       Space.sigma_scale = 1.0 +. (0.0001 *. float_of_int !n);
       binning = true;
-      mc_dies = 1_000_000;
+      mc_dies = 4_000_000;
     }
 
 (* cyclic barrier: the last of [parties] arrivals releases the rest *)
@@ -404,6 +408,77 @@ let test_long_garbage_line () =
                   resp
             | Error e -> Alcotest.fail e)))
 
+(* A request line is capped at [Server.max_line_bytes]: 32 MiB with no
+   newline, streamed into the in-process daemon, grows this process's
+   major heap by a few MiB at most (the whole line was held before the
+   cap), its newline gets a typed bad-request naming the limit, and the
+   connection then answers an eval byte for byte. A line of exactly the
+   limit is still a request; one byte more is not. *)
+let test_request_line_capped () =
+  let error_kind resp =
+    match Json.of_string resp with
+    | Ok j -> (
+        match Option.bind (Json.member "error" j) (Json.member "kind") with
+        | Some (Json.Str k) -> k
+        | _ -> "none")
+    | Error e -> "unparsable: " ^ e
+  in
+  let limit = string_of_int Server.max_line_bytes in
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  with_server (fun t addr ->
+      with_deadline t 60. (fun () ->
+        with_client addr (fun cl ->
+            let heap_words () = (Gc.quick_stat ()).Gc.heap_words in
+            let piece = String.make 65536 'x' in
+            let before = heap_words () in
+            for _ = 1 to 512 do
+              Client.send_raw cl piece
+            done;
+            let grown_mib =
+              float_of_int ((heap_words () - before) * (Sys.word_size / 8)) /. 1048576.
+            in
+            if grown_mib > 8. then
+              Alcotest.failf "major heap grew %.1f MiB while a 32 MiB line streamed in"
+                grown_mib;
+            (match Client.raw_roundtrip cl "" with
+            | Ok resp ->
+                Alcotest.(check string) "32 MiB line: bad-request" "bad-request"
+                  (error_kind resp);
+                if not (contains resp limit) then
+                  Alcotest.failf "bad-request does not name the %s-byte limit: %s" limit resp
+            | Error e -> Alcotest.fail e);
+            let ping =
+              Json.to_string (Protocol.request_to_json { Protocol.id = 4; op = Protocol.Ping })
+            in
+            let at_limit = ping ^ String.make (Server.max_line_bytes - String.length ping) ' ' in
+            (match Client.raw_roundtrip cl at_limit with
+            | Ok resp ->
+                Alcotest.(check string) "a line of exactly the limit is served"
+                  (Protocol.render_response { Protocol.r_id = 4; body = Ok (Json.Str "pong") })
+                  resp
+            | Error e -> Alcotest.fail e);
+            (match Client.raw_roundtrip cl (at_limit ^ " ") with
+            | Ok resp ->
+                Alcotest.(check string) "one byte over the limit: bad-request" "bad-request"
+                  (error_kind resp)
+            | Error e -> Alcotest.fail e);
+            let p = fresh_point () in
+            let line =
+              Json.to_string (Protocol.request_to_json { Protocol.id = 3; op = Protocol.Eval p })
+            in
+            match Client.raw_roundtrip cl line with
+            | Ok resp ->
+                Alcotest.(check string)
+                  "then the eval, byte-identical"
+                  (Protocol.render_response
+                     { Protocol.r_id = 3; body = Ok (Eval.to_json (Eval.point p)) })
+                  resp
+            | Error e -> Alcotest.fail e)))
+
 let test_sweep_and_pareto_ops () =
   with_server (fun _ addr ->
       with_client addr (fun cl ->
@@ -467,6 +542,80 @@ let test_store_survives_restart () =
               let s = Server.stats t in
               Alcotest.(check int) "no re-evaluation after restart" 0 s.Server.evals;
               Alcotest.(check int) "served from the reloaded store" 1 s.Server.cache_hits)))
+
+(* Stopping the daemon while clients wait on binned points: one client's
+   point is evaluating, and a sweep's 18 binned points sit queued behind
+   it. [stop] returns only once all 19 are evaluated, and every waiter
+   still gets its answer: the eval's is byte-identical to the CLI's, the
+   sweep has every point, and a daemon reopened on the store replays both
+   byte for byte without evaluating. *)
+let test_stop_drains_queued () =
+  let store = Filename.temp_file "gap_serve_drain" ".store" in
+  Sys.remove store;
+  Fun.protect
+    ~finally:(fun () -> rm_rf store)
+    (fun () ->
+      let long = { (wave_point ()) with Space.sigma_scale = 1.7 } in
+      let sweep = Protocol.Sweep "variation" in
+      let answer cl op =
+        match Client.request cl op with
+        | Ok j -> Json.to_string j
+        | Error e -> "ERR " ^ Protocol.err_to_string e
+      in
+      let path = fresh_sock () in
+      let addr = Protocol.Unix_sock path in
+      let t = Server.create { (Server.default_config addr) with Server.store = Some store } in
+      Server.start t;
+      let first = ref "" and swept = ref "" and pending = ref 0 and after = ref (-1, -1) in
+      Fun.protect
+        ~finally:(fun () ->
+          Server.stop t;
+          if Sys.file_exists path then Sys.remove path)
+        (fun () ->
+          with_client addr (fun a ->
+              with_client addr (fun b ->
+                  let poll what ready =
+                    let rec go tries =
+                      if ready (Server.stats t) then ()
+                      else if tries = 0 then Alcotest.failf "never %s" what
+                      else begin
+                        Thread.delay 0.001;
+                        go (tries - 1)
+                      end
+                    in
+                    go 20_000
+                  in
+                  let ta = Thread.create (fun () -> first := answer a (Protocol.Eval long)) () in
+                  poll "staged the long point" (fun s -> s.Server.pending = 1);
+                  let tb = Thread.create (fun () -> swept := answer b sweep) () in
+                  poll "staged the sweep" (fun s -> s.Server.evals + s.Server.pending = 19);
+                  pending := (Server.stats t).Server.pending;
+                  Server.stop t;
+                  (let s = Server.stats t in
+                   after := (s.Server.pending, s.Server.evals));
+                  Thread.join ta;
+                  Thread.join tb)));
+      Alcotest.(check bool) "stopped while points were unresolved" true (!pending > 0);
+      Alcotest.(check (pair int int)) "stop returned with every point evaluated" (0, 19) !after;
+      Alcotest.(check string)
+        "the evaluating client's answer, byte-identical"
+        (Json.to_string (Eval.to_json (Eval.point long)))
+        !first;
+      (match Json.of_string !swept with
+      | Ok doc ->
+          Alcotest.(check bool) "the queued sweep evaluated every point" true
+            (Json.member "evaluated" doc = Some (Json.Int 18)
+            && Json.member "refused" doc = Some (Json.Int 0))
+      | Error e -> Alcotest.failf "sweep answer %S: %s" !swept e);
+      with_server ~store (fun t addr ->
+          with_client addr (fun cl ->
+              Alcotest.(check string) "the reopened store replays the eval" !first
+                (answer cl (Protocol.Eval long));
+              Alcotest.(check string) "the reopened store replays the sweep" !swept
+                (answer cl sweep);
+              let s = Server.stats t in
+              Alcotest.(check int) "nothing re-evaluated" 0 s.Server.evals;
+              Alcotest.(check int) "all 19 points from the store" 19 s.Server.cache_hits)))
 
 let test_stop_idempotent_and_refuses_new_conns () =
   let path = fresh_sock () in
@@ -556,10 +705,12 @@ let suite =
     ("poisoned request returns typed error", `Quick, test_poisoned_request_typed_error);
     ("malformed line survives", `Quick, test_malformed_line_survives);
     ("multi-MiB garbage line, then an eval", `Quick, test_long_garbage_line);
+    ("request line capped at 1 MiB", `Quick, test_request_line_capped);
     ("eval line at edge ids = render_response", `Quick, test_eval_line_edge_ids);
     QCheck_alcotest.to_alcotest eval_line_property;
     ("sweep and pareto over the wire", `Quick, test_sweep_and_pareto_ops);
     ("store survives restart", `Quick, test_store_survives_restart);
+    ("stop drains queued binned points", `Quick, test_stop_drains_queued);
     ("stop idempotent, socket removed", `Quick, test_stop_idempotent_and_refuses_new_conns);
     ("shutdown request stops server", `Quick, test_shutdown_request_stops_server);
     ("span stacks per thread", `Quick, test_span_stacks_per_thread);

@@ -498,6 +498,129 @@ let buf_percentile_matches_sort_property =
              Stats.buf_percentile b p = Stats.percentile_sorted sorted p)
            (0 :: 50 :: 100 :: ps))
 
+(* Buffers up to 70,000 samples, of the shapes that stress selection:
+   uniform, duplicate-heavy (signed zeros and infinities included),
+   constant, sorted and reversed. Built from a seed so a failure prints
+   small. *)
+type buf_shape = Uniform | Duplicates | Constant | Sorted | Reversed
+
+let shape_name = function
+  | Uniform -> "uniform"
+  | Duplicates -> "duplicates"
+  | Constant -> "constant"
+  | Sorted -> "sorted"
+  | Reversed -> "reversed"
+
+let sample_array (n, shape, seed) =
+  let st = Random.State.make [| seed |] in
+  let draw () = Random.State.float st 2e6 -. 1e6 in
+  let few = [| neg_infinity; -1.; -0.; 0.; 0.5; 2.; infinity |] in
+  let sorted () =
+    let a = Array.init n (fun _ -> draw ()) in
+    Array.sort Float.compare a;
+    a
+  in
+  match shape with
+  | Uniform -> Array.init n (fun _ -> draw ())
+  | Duplicates -> Array.init n (fun _ -> few.(Random.State.int st (Array.length few)))
+  | Constant -> Array.make n (draw ())
+  | Sorted -> sorted ()
+  | Reversed ->
+      let a = sorted () in
+      Array.init n (fun i -> a.(n - 1 - i))
+
+(* every rank of a small buffer; of a large one, the ranks on both sides
+   of each tail cutoff (n/32 from an end), the middle and the ends *)
+let probe_ranks n =
+  let tail = n / 32 in
+  if n <= 80 then List.init n Fun.id
+  else
+    List.sort_uniq compare
+      (List.filter
+         (fun k -> k >= 0 && k < n)
+         [ 0; 1; tail - 2; tail - 1; tail; tail + 1; n / 2; n - tail - 2;
+           n - tail - 1; n - tail; n - tail + 1; n - 2; n - 1 ])
+
+let buf_order_stats_property =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (frequency
+           [ (3, int_range 1 100); (3, int_range 100 5_000); (2, int_range 5_000 70_000) ])
+        (oneofl [ Uniform; Duplicates; Constant; Sorted; Reversed ])
+        (int_bound 1_000_000))
+  in
+  QCheck.Test.make ~name:"buf select/percentile = sorted copy, buffer untouched"
+    ~count:150
+    (QCheck.make
+       ~print:(fun (n, shape, seed) ->
+         Printf.sprintf "n=%d %s seed=%d" n (shape_name shape) seed)
+       gen)
+    (fun spec ->
+      let arr = sample_array spec in
+      let n = Array.length arr in
+      let b = Stats.buf_of_array arr in
+      let sorted = Array.copy arr in
+      Array.sort Float.compare sorted;
+      let ranks = probe_ranks n in
+      (* percentiles landing on each probed rank and halfway past it *)
+      let ps =
+        0. :: 1. :: 50. :: 99. :: 100.
+        :: List.concat_map
+             (fun k ->
+               let step = 100. /. float_of_int (max 1 (n - 1)) in
+               [ float_of_int k *. step; (float_of_int k +. 0.5) *. step ])
+             ranks
+        |> List.filter (fun p -> p <= 100.)
+      in
+      let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+      List.for_all (fun k -> Float.equal (Stats.buf_select b k) sorted.(k)) ranks
+      && List.for_all
+           (fun p -> same (Stats.buf_percentile b p) (Stats.percentile_sorted sorted p))
+           ps
+      && Array.for_all2 same (Stats.buf_to_array b) arr)
+
+(* One NaN anywhere makes every selection path raise: each index of small
+   buffers on both sides of the tail cutoff, random indices of large ones;
+   p0/p1 and p99/p100 take the heap pass (from 32 samples on), p50 the
+   copy and quickselect. *)
+let test_buf_nan_rejected () =
+  let rejects what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | v -> Alcotest.failf "%s: NaN accepted, returned %g" what v
+  in
+  let queries where b =
+    let n = Stats.buf_length b in
+    List.iter
+      (fun p ->
+        rejects (Printf.sprintf "%s, p%g" where p) (fun () -> Stats.buf_percentile b p))
+      [ 0.; 1.; 50.; 99.; 100. ];
+    List.iter
+      (fun k ->
+        rejects (Printf.sprintf "%s, rank %d" where k) (fun () -> Stats.buf_select b k))
+      [ 0; n / 2; n - 1 ]
+  in
+  List.iter
+    (fun n ->
+      for i = 0 to n - 1 do
+        List.iter
+          (fun nan ->
+            let a = Array.init n (fun j -> float_of_int ((j * 7919) mod n)) in
+            a.(i) <- nan;
+            queries (Printf.sprintf "n=%d, NaN at %d" n i) (Stats.buf_of_array a))
+          [ Float.nan; -.Float.nan ]
+      done)
+    [ 1; 2; 5; 31; 32; 33; 64; 100 ];
+  let st = Random.State.make [| 24 |] in
+  for _ = 1 to 40 do
+    let n = 20_000 in
+    let a = Array.init n (fun _ -> 200. +. Random.State.float st 100.) in
+    let i = Random.State.int st n in
+    a.(i) <- Float.nan;
+    queries (Printf.sprintf "n=%d, NaN at %d" n i) (Stats.buf_of_array a)
+  done
+
 let normal_fill_matches_scalar_property =
   (* the batched fill must replay the exact scalar [normal] stream bit for
      bit across consecutive fills of assorted lengths — even, odd (leaving
@@ -582,6 +705,8 @@ let suite =
     ("buf roundtrip and aggregates", `Quick, test_buf_roundtrip_and_aggregates);
     ("buf select edges", `Quick, test_buf_select_edges);
     QCheck_alcotest.to_alcotest buf_percentile_matches_sort_property;
+    QCheck_alcotest.to_alcotest buf_order_stats_property;
+    ("buf NaN anywhere rejected", `Quick, test_buf_nan_rejected);
     QCheck_alcotest.to_alcotest normal_fill_matches_scalar_property;
     ("normal fill rejects bad range", `Quick, test_normal_fill_rejects_bad_range);
     ("units", `Quick, test_units);

@@ -264,6 +264,70 @@ let test_mc_percentiles_ordered () =
   Alcotest.(check bool) "ordered" true (p1 < p50 && p50 < p99);
   Alcotest.(check bool) "spread positive" true (MC.spread r > 0.1)
 
+(* The percentile as it was computed before tail queries became one
+   pass: copy the samples, then median-of-three Hoare quickselect for each
+   of the two bracketing ranks. Kept here as the reference. *)
+let reference_percentile run p =
+  let b = Gap_util.Stats.buf_copy run.MC.fmax_mhz in
+  let n = Gap_util.Stats.buf_length b in
+  let get i = Bigarray.Array1.get b i and set i v = Bigarray.Array1.set b i v in
+  let swap i j =
+    let t = get i in
+    set i (get j);
+    set j t
+  in
+  let select k =
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !lo < !hi do
+      let mid = !lo + ((!hi - !lo) / 2) in
+      if get mid < get !lo then swap mid !lo;
+      if get !hi < get !lo then swap !hi !lo;
+      if get !hi < get mid then swap !hi mid;
+      let pivot = get mid in
+      let i = ref (!lo - 1) and j = ref (!hi + 1) and cut = ref (-1) in
+      while !cut < 0 do
+        incr i;
+        while get !i < pivot do
+          incr i
+        done;
+        decr j;
+        while get !j > pivot do
+          decr j
+        done;
+        if !i >= !j then cut := !j else swap !i !j
+      done;
+      if k <= !cut then hi := !cut else lo := !cut + 1
+    done;
+    get k
+  in
+  if n = 1 then get 0
+  else begin
+    let rank = p /. 100. *. float_of_int (n - 1) in
+    let lo = int_of_float (floor rank) in
+    let hi = min (lo + 1) (n - 1) in
+    let frac = rank -. float_of_int lo in
+    let v_lo = select lo in
+    let v_hi = if hi = lo then v_lo else select hi in
+    v_lo +. (frac *. (v_hi -. v_lo))
+  end
+
+let mc_percentile_matches_reference_property =
+  QCheck.Test.make ~name:"MC percentile = copy-and-quickselect reference" ~count:60
+    QCheck.(
+      triple (int_bound 1000) (int_range 1 40_000)
+        (small_list (float_range 0. 100.)))
+    (fun (seed, dies, ps) ->
+      let r =
+        MC.simulate ~seed:(Int64.of_int seed) ~model:(V.make V.mature)
+          ~nominal_mhz:250. ~dies ()
+      in
+      List.for_all
+        (fun p ->
+          Int64.equal
+            (Int64.bits_of_float (MC.percentile r p))
+            (Int64.bits_of_float (reference_percentile r p)))
+        (0. :: 0.5 :: 1. :: 3. :: 50. :: 97. :: 99. :: 99.9 :: 100. :: ps))
+
 let test_fraction_above () =
   let r = run () in
   check_close "all dies above 0" 1e-9 1.0 (MC.fraction_above r 0.);
@@ -423,6 +487,7 @@ let suite =
     ("MC reuse after worker death", `Quick, test_mc_reuse_after_worker_death);
     ("MC retains at most 64 shards", `Quick, test_mc_retention_capped);
     ("MC percentiles ordered", `Quick, test_mc_percentiles_ordered);
+    QCheck_alcotest.to_alcotest mc_percentile_matches_reference_property;
     ("fraction above", `Quick, test_fraction_above);
     ("binning counts", `Quick, test_binning_counts);
     ("yield monotone", `Quick, test_binning_monotone_yield);
