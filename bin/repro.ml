@@ -949,8 +949,7 @@ let resolve_addr s =
       Printf.eprintf "%s\n" e;
       Error 124
 
-let run_serve addr domains store no_store capacity queue_bound fair_share
-    batch_max idle_timeout =
+let run_serve addr domains store no_store capacity queue_bound idle_timeout =
   match resolve_addr addr with
   | Error rc -> rc
   | Ok addr -> (
@@ -961,8 +960,6 @@ let run_serve addr domains store no_store capacity queue_bound fair_share
           store = (if no_store then None else Some store);
           capacity;
           queue_bound;
-          fair_share;
-          batch_max;
           idle_timeout_s =
             (if idle_timeout > 0. then Some idle_timeout else None);
         }
@@ -989,15 +986,6 @@ let queue_bound_arg =
       & info [ "queue-bound" ] ~docv:"N"
           ~doc:"Max queued evaluations per client before its reads block \
                 (socket backpressure).")
-
-let fair_share_arg =
-  Arg.(value & opt int 8
-      & info [ "fair-share" ] ~docv:"N"
-          ~doc:"Max jobs one client contributes per round-robin scheduling pass.")
-
-let batch_max_arg =
-  Arg.(value & opt int 256
-      & info [ "batch-max" ] ~docv:"N" ~doc:"Max jobs per worker-pool batch.")
 
 let serve_cmd =
   let addr_arg =
@@ -1028,7 +1016,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const run_serve
           $ addr_arg $ domains_arg $ store_arg $ no_store_arg $ capacity_arg
-          $ queue_bound_arg $ fair_share_arg $ batch_max_arg $ idle_timeout_arg)
+          $ queue_bound_arg $ idle_timeout_arg)
 
 (* --- fpga-gap: the three-way FPGA / ASIC / custom measurement (E11) --- *)
 

@@ -1,6 +1,5 @@
 let observed_gap_lo = 6.
 let observed_gap_hi = 8.
-let observed_gap_mid = sqrt (observed_gap_lo *. observed_gap_hi)
 
 type residual_step = {
   after_factors : string list;

@@ -6,8 +6,6 @@
 
 val observed_gap_lo : float
 val observed_gap_hi : float
-val observed_gap_mid : float
-(** Geometric mean of 6 and 8. *)
 
 type residual_step = {
   after_factors : string list;  (** factors applied so far *)

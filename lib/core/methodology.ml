@@ -57,22 +57,3 @@ let custom =
     clocking = Custom_tuned_tree;
     process = Best_fab_binned;
   }
-
-let describe t =
-  let pipe =
-    match t.pipelining with
-    | Unpipelined -> "unpipelined"
-    | Pipelined n -> Printf.sprintf "%d-stage pipeline" n
-  in
-  Printf.sprintf "%s: %s, %s floorplan, %s library, %s sizing, %s logic, %s clock, %s"
-    t.meth_name pipe
-    (match t.floorplanning with Automatic_scatter -> "automatic" | Careful -> "careful")
-    (match t.library with Poor_two_drive -> "2-drive" | Rich -> "rich")
-    (match t.sizing with None_minimal -> "minimal" | Critical_path_sized -> "critical-path")
-    (match t.logic_family with Static_only -> "static" | Domino_on_critical -> "domino")
-    (match t.clocking with Asic_tree -> "ASIC" | Custom_tuned_tree -> "tuned")
-    (match t.process with
-    | Worst_case_slow_fab -> "worst-case @ slow fab"
-    | Worst_case_typical_fab -> "worst-case @ typical fab"
-    | Speed_tested -> "speed-tested"
-    | Best_fab_binned -> "best fab, binned")

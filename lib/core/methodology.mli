@@ -42,5 +42,3 @@ val good_asic : t
 val custom : t
 (** Alpha/PPC practice: deep pipeline, manual floorplan, continuous sizing,
     domino on critical paths, tuned clock, best fab. *)
-
-val describe : t -> string

@@ -2,8 +2,9 @@
 
     Jobs are claimed off a shared atomic counter, and result slot [i]
     depends only on job [i], so the output array is identical for every
-    worker count — parallelism is strictly a wall-clock matter, the same
-    contract as the Monte Carlo shards.
+    worker count — parallelism is strictly a wall-clock matter. This is
+    the library's only domain pool: a Monte Carlo run samples on the
+    domain that calls it.
 
     Resilience: worker domains run jobs raw (spans and counters are
     domain-safe; supervision state is not), every spawned domain is joined

@@ -310,12 +310,6 @@ let driver_fpga () =
   in
   ()
 
-let driver_mc () =
-  let model = Gap_variation.Model.make Gap_variation.Model.mature in
-  ignore
-    (Gap_variation.Montecarlo.simulate ~seed:77L ~domains:4 ~model
-       ~nominal_mhz:250. ~dies:8192 ())
-
 let flow_row name driver armed =
   {
     name;
@@ -686,12 +680,9 @@ let rows =
     flow_row "synth-cla16" driver_synth ("synth.sizing", Stage_error.Transient, 0);
     flow_row "synth-cla16" driver_synth ("sta.analyze", Stage_error.Transient, 5);
     flow_row "place-cla16" driver_place ("place.sweep", Stage_error.Transient, 20);
-    flow_row "place-cla16" driver_place ("place.sweep", Stage_error.Deadline, 20);
     flow_row "annotate-cla16" driver_annotate ("place.parasitic", Stage_error.Corrupt, 10);
     flow_row "fpga-cla16" driver_fpga ("gap_fpga.lutmap", Stage_error.Transient, 0);
     flow_row "fpga-cla16" driver_fpga ("gap_fpga.route", Stage_error.Corrupt, 20);
-    flow_row "mc-8k-x4" driver_mc ("mc.worker", Stage_error.Worker_kill, 2);
-    flow_row "mc-8k-x4" driver_mc ("mc.budget", Stage_error.Deadline, 0);
     daemon_row "fault:segstore.append" [ ("segstore.append", Stage_error.Transient, 2) ] row_append;
     daemon_row "fault:segstore.compact" [ ("segstore.compact", Stage_error.Transient, 0) ] row_compact;
     daemon_row "fault:serve.batch" [ ("serve.batch", Stage_error.Transient, 0) ] row_batch;
@@ -733,8 +724,7 @@ let run_row rng r =
   in
   let retries = Obs.counter_value sink "resilience.retries" in
   let degraded =
-    Obs.counter_value sink "mc.degraded_runs"
-    + Obs.counter_value sink "place.anneal_recoveries"
+    Obs.counter_value sink "place.anneal_recoveries"
     + Obs.counter_value sink "dse.pool.degraded"
   in
   let outcome =

@@ -59,12 +59,11 @@ val all_passed : run_outcome list -> bool
     One scenario table covers the flow and the daemon. A row arms zero or
     more (site, kind) pairs of {!Gap_resilience.Fault.catalog} and runs its
     body: a small flow driver under a supervisor (synthesis, placement,
-    a gated annotate+STA, the FPGA backend, a 4-domain Monte Carlo), or a
-    daemon or store wrecked on purpose (SIGKILL mid-workload, armed
-    [segstore]/[serve]/[dse] sites, vanishing, stalling and flooding
-    clients) followed by its checks — where it keeps a store, the
-    crash-only ones: the store validates and a warm restart answers
-    byte-identically to a never-killed evaluator.
+    a gated annotate+STA, the FPGA backend), or a daemon or store wrecked
+    on purpose (SIGKILL mid-workload, armed [segstore]/[serve]/[dse] sites,
+    vanishing, stalling and flooding clients) followed by its checks —
+    where it keeps a store, the crash-only ones: the store validates and a
+    warm restart answers byte-identically to a never-killed evaluator.
     Coverage is measured, not declared: a catalog pair no row injected
     fails the gate. *)
 
@@ -73,7 +72,7 @@ type fault_outcome =
   | Recovered  (** the supervisor retried the stage and it completed *)
   | Degraded
       (** a fallback path absorbed the fault (best-so-far placement,
-          sequential Monte Carlo, orphaned pool slots re-run) *)
+          orphaned pool slots re-run) *)
   | Failed_typed of Gap_resilience.Stage_error.t
       (** the driver failed, but with a typed diagnostic — acceptable *)
   | Silent  (** the fault fired yet nothing recovered or complained — a bug *)

@@ -13,31 +13,6 @@ module Pipeline = Gap_retime.Pipeline
 
 let tech = Gap_tech.Tech.asic_025um
 
-type params = {
-  asic_stages : int;  (** netlist + analytic pipeline depth, ASIC arm *)
-  custom_stages : int;
-  asic_skew_frac : float;  (** skew budget as a fraction of the cycle *)
-  custom_skew_frac : float;
-  asic_overhead_frac : float;  (** analytic N/(1+v) overhead fraction *)
-  custom_overhead_frac : float;
-  asic_stage_fo4 : float;  (** per-stage logic depth for the overhead rows *)
-  custom_stage_fo4 : float;
-  mult_width : int;  (** the pipelined multiplier's operand width *)
-}
-
-let default =
-  {
-    asic_stages = 5;
-    custom_stages = 4;
-    asic_skew_frac = 0.10;
-    custom_skew_frac = 0.05;
-    asic_overhead_frac = 0.30;
-    custom_overhead_frac = 0.20;
-    asic_stage_fo4 = 13.;
-    custom_stage_fo4 = 11.;
-    mult_width = 16;
-  }
-
 let netlist_speedup ~lib ~skew_frac ~stages g =
   let effort = { Flow.default_effort with tilos_moves = 0 } in
   let build () = (Flow.run ~lib ~effort g).Flow.netlist in
@@ -69,34 +44,41 @@ let retiming_demo () =
   let after, _ = Gap_retime.Retime.min_period g in
   (before, after)
 
-let run_with p =
+let run () =
+  (* pipeline depth, skew budget (fraction of the cycle), analytic N/(1+v)
+     overhead fraction and per-stage logic depth: ASIC arm, then custom *)
+  let asic_stages = 5 and custom_stages = 4 in
+  let asic_skew_frac = 0.10 and custom_skew_frac = 0.05 in
+  let asic_overhead_frac = 0.30 and custom_overhead_frac = 0.20 in
+  let asic_stage_fo4 = 13. and custom_stage_fo4 = 11. in
+  let mult_width = 16 in
   let asic_lib = Gap_liberty.Libgen.(make tech rich) in
   let custom_lib = Gap_liberty.Libgen.(make tech custom) in
   let s5 =
-    Overhead.paper_speedup ~stages:p.asic_stages
-      ~overhead_frac:p.asic_overhead_frac
+    Overhead.paper_speedup ~stages:asic_stages
+      ~overhead_frac:asic_overhead_frac
   in
   let s4 =
-    Overhead.paper_speedup ~stages:p.custom_stages
-      ~overhead_frac:p.custom_overhead_frac
+    Overhead.paper_speedup ~stages:custom_stages
+      ~overhead_frac:custom_overhead_frac
   in
   let fo4 = Gap_tech.Tech.fo4_ps tech in
   let asic_ovh =
-    Overhead.overhead_fraction ~lib:asic_lib ~skew_frac:p.asic_skew_frac
-      ~stage_logic_ps:(p.asic_stage_fo4 *. fo4)
+    Overhead.overhead_fraction ~lib:asic_lib ~skew_frac:asic_skew_frac
+      ~stage_logic_ps:(asic_stage_fo4 *. fo4)
   in
   let custom_ovh =
-    Overhead.overhead_fraction ~lib:custom_lib ~skew_frac:p.custom_skew_frac
-      ~stage_logic_ps:(p.custom_stage_fo4 *. fo4)
+    Overhead.overhead_fraction ~lib:custom_lib ~skew_frac:custom_skew_frac
+      ~stage_logic_ps:(custom_stage_fo4 *. fo4)
   in
-  let g = Gap_datapath.Multiplier.array_multiplier ~width:p.mult_width in
+  let g = Gap_datapath.Multiplier.array_multiplier ~width:mult_width in
   let asic_speedup, asic_p1, asic_p5 =
-    netlist_speedup ~lib:asic_lib ~skew_frac:p.asic_skew_frac
-      ~stages:p.asic_stages g
+    netlist_speedup ~lib:asic_lib ~skew_frac:asic_skew_frac
+      ~stages:asic_stages g
   in
   let custom_speedup, _, _ =
-    netlist_speedup ~lib:custom_lib ~skew_frac:p.custom_skew_frac
-      ~stages:p.custom_stages g
+    netlist_speedup ~lib:custom_lib ~skew_frac:custom_skew_frac
+      ~stages:custom_stages g
   in
   let rt_before, rt_after = retiming_demo () in
   {
@@ -109,42 +91,42 @@ let run_with p =
           ~verdict:(Exp.check s5 ~lo:3.7 ~hi:3.9)
           ~label:
             (Printf.sprintf "%d-stage ASIC pipe, %.0f%% overhead (analytic)"
-               p.asic_stages
-               (100. *. p.asic_overhead_frac))
+               asic_stages
+               (100. *. asic_overhead_frac))
           ~paper:"x3.8" ~measured:(Exp.ratio s5) ();
         Exp.row
           ~verdict:(Exp.check s4 ~lo:3.3 ~hi:3.5)
           ~label:
             (Printf.sprintf "%d-stage custom pipe, %.0f%% overhead (analytic)"
-               p.custom_stages
-               (100. *. p.custom_overhead_frac))
+               custom_stages
+               (100. *. custom_overhead_frac))
           ~paper:"x3.4" ~measured:(Exp.ratio s4) ();
         Exp.row
           ~verdict:(Exp.check asic_ovh ~lo:0.25 ~hi:0.40)
           ~label:
             (Printf.sprintf "ASIC per-stage overhead @ %.0f FO4 stage"
-               p.asic_stage_fo4)
+               asic_stage_fo4)
           ~paper:"~30%" ~measured:(Exp.pct asic_ovh) ();
         Exp.row
           ~verdict:(Exp.check custom_ovh ~lo:0.15 ~hi:0.28)
           ~label:
             (Printf.sprintf "custom per-stage overhead @ %.0f FO4 stage"
-               p.custom_stage_fo4)
+               custom_stage_fo4)
           ~paper:"~20%" ~measured:(Exp.pct custom_ovh) ();
         Exp.row
           ~verdict:(Exp.check asic_speedup ~lo:3.0 ~hi:4.3)
           ~label:
             (Printf.sprintf "mult%d netlist, %d stages, ASIC flops + %.0f%% skew"
-               p.mult_width p.asic_stages
-               (100. *. p.asic_skew_frac))
+               mult_width asic_stages
+               (100. *. asic_skew_frac))
           ~paper:"~x3.8" ~measured:(Exp.ratio asic_speedup) ();
         Exp.row
           ~verdict:(Exp.check custom_speedup ~lo:2.8 ~hi:3.8)
           ~label:
             (Printf.sprintf
                "mult%d netlist, %d stages, custom latches + %.0f%% skew"
-               p.mult_width p.custom_stages
-               (100. *. p.custom_skew_frac))
+               mult_width custom_stages
+               (100. *. custom_skew_frac))
           ~paper:"~x3.4" ~measured:(Exp.ratio custom_speedup) ();
         Exp.row
           ~verdict:(Exp.check (rt_before /. rt_after) ~lo:2.5 ~hi:3.5)
@@ -160,8 +142,6 @@ let run_with p =
         Printf.sprintf
           "mult%d: unpipelined registered period %s, %d-stage period %s; stage \
            imbalance from gate-granularity cuts is visible, as Sec. 4.1 predicts"
-          p.mult_width (Exp.ps asic_p1) p.asic_stages (Exp.ps asic_p5);
+          mult_width (Exp.ps asic_p1) asic_stages (Exp.ps asic_p5);
       ];
   }
-
-let run () = run_with default

@@ -7,38 +7,33 @@
 
 module P = Gap_uarch.Processors
 
-type params = {
-  ibm_leff_um : float;  (** effective channel length for the FO4 rule row *)
-  cycle_fo4 : float;  (** FO4 depths per cycle for the frequency row *)
-  alu_width : int;  (** operand width of the synthesized ALUs *)
-}
-
-let default = { ibm_leff_um = 0.15; cycle_fo4 = 13.; alu_width = 32 }
-
-let run_with p =
+let run () =
+  (* effective channel length for the FO4 rule row, FO4 depths per cycle
+     for the frequency row, operand width of the synthesized ALUs *)
+  let ibm_leff_um = 0.15 and cycle_fo4 = 13. and alu_width = 32 in
   let tech = Gap_tech.Tech.asic_025um in
   let lib = Gap_liberty.Libgen.(make tech rich) in
-  let ibm_fo4_ps = Gap_tech.Fo4.of_leff_um p.ibm_leff_um in
+  let ibm_fo4_ps = Gap_tech.Fo4.of_leff_um ibm_leff_um in
   (* our Xtensa-like datapath: a single-cycle ALU with block carry-lookahead,
      a reasonable synthesis result *)
-  let alu = Gap_datapath.Alu.alu ~adder:`Cla p.alu_width in
+  let alu = Gap_datapath.Alu.alu ~adder:`Cla alu_width in
   let outcome =
-    Gap_synth.Flow.run ~lib ~name:(Printf.sprintf "alu%d" p.alu_width) alu
+    Gap_synth.Flow.run ~lib ~name:(Printf.sprintf "alu%d" alu_width) alu
   in
   let measured_depth = Gap_sta.Sta.fo4_depth outcome.Gap_synth.Flow.sta ~lib in
-  let ripple = Gap_datapath.Alu.alu ~adder:`Ripple p.alu_width in
+  let ripple = Gap_datapath.Alu.alu ~adder:`Ripple alu_width in
   let ripple_depth =
     Gap_sta.Sta.fo4_depth
       (Gap_synth.Flow.run ~lib
-         ~name:(Printf.sprintf "alu%dr" p.alu_width)
+         ~name:(Printf.sprintf "alu%dr" alu_width)
          ripple)
         .Gap_synth.Flow.sta ~lib
   in
   (* with a datapath library (Kogge-Stone via macro cells) *)
-  let alu_fast = Gap_datapath.Alu.alu ~adder:`Kogge_stone p.alu_width in
+  let alu_fast = Gap_datapath.Alu.alu ~adder:`Kogge_stone alu_width in
   let fast =
     Gap_synth.Flow.run ~lib
-      ~name:(Printf.sprintf "alu%d-ks" p.alu_width)
+      ~name:(Printf.sprintf "alu%d-ks" alu_width)
       alu_fast
   in
   let fast_depth = Gap_sta.Sta.fo4_depth fast.Gap_synth.Flow.sta ~lib in
@@ -51,16 +46,16 @@ let run_with p =
         Exp.row
           ~verdict:(Exp.check ibm_fo4_ps ~lo:74. ~hi:76.)
           ~label:
-            (Printf.sprintf "FO4 delay at Leff %.2fum (IBM PPC)" p.ibm_leff_um)
+            (Printf.sprintf "FO4 delay at Leff %.2fum (IBM PPC)" ibm_leff_um)
           ~paper:"75 ps" ~measured:(Exp.ps ibm_fo4_ps) ();
         Exp.row
           ~verdict:
-            (Exp.check (1e6 /. (p.cycle_fo4 *. ibm_fo4_ps)) ~lo:975. ~hi:1080.)
+            (Exp.check (1e6 /. (cycle_fo4 *. ibm_fo4_ps)) ~lo:975. ~hi:1080.)
           ~label:
-            (Printf.sprintf "%.0f FO4 cycle at %s" p.cycle_fo4
+            (Printf.sprintf "%.0f FO4 cycle at %s" cycle_fo4
                (Exp.ps ibm_fo4_ps))
           ~paper:"1.0 GHz"
-          ~measured:(Exp.mhz (1e6 /. (p.cycle_fo4 *. ibm_fo4_ps)))
+          ~measured:(Exp.mhz (1e6 /. (cycle_fo4 *. ibm_fo4_ps)))
           ();
         Exp.row
           ~verdict:(Exp.check P.alpha_21264a.P.fo4_depth ~lo:15. ~hi:15.)
@@ -86,5 +81,3 @@ let run_with p =
          the whole 250 MHz cycle";
       ];
   }
-
-let run () = run_with default

@@ -9,32 +9,13 @@ module V = Gap_variation.Model
 module MC = Gap_variation.Montecarlo
 module B = Gap_variation.Binning
 
-type params = {
-  dies : int;  (** Monte Carlo sample count per arm *)
-  nominal_mhz : float;  (** nominal design frequency *)
-  sigma_scale : float;  (** multiplier on every sigma of the variation model *)
-}
-
-let default = { dies = 20000; nominal_mhz = 250.; sigma_scale = 1.0 }
-
-let scale_sigmas k (s : V.sigmas) =
-  {
-    V.lot = s.V.lot *. k;
-    wafer = s.V.wafer *. k;
-    die = s.V.die *. k;
-    intra = s.V.intra *. k;
-  }
-
-let run_with p =
-  let dies = p.dies in
-  let nominal = p.nominal_mhz in
-  let mature = scale_sigmas p.sigma_scale V.mature in
-  let new_process = scale_sigmas p.sigma_scale V.new_process in
-  let typical = MC.simulate ~model:(V.make ~fab_mean:V.typical_fab mature) ~nominal_mhz:nominal ~dies () in
-  let slow_fab = MC.simulate ~seed:7L ~model:(V.make ~fab_mean:V.slow_fab mature) ~nominal_mhz:nominal ~dies () in
-  let best_fab = MC.simulate ~seed:9L ~model:(V.make ~fab_mean:V.best_fab mature) ~nominal_mhz:nominal ~dies () in
-  let new_proc = MC.simulate ~seed:11L ~model:(V.make new_process) ~nominal_mhz:nominal ~dies () in
-  let typ_vs_worst = MC.percentile typical 50. /. (nominal *. V.signoff_speed (V.make ~fab_mean:V.slow_fab mature)) in
+let run () =
+  let dies = 20000 and nominal = 250. in
+  let typical = MC.simulate ~model:(V.make ~fab_mean:V.typical_fab V.mature) ~nominal_mhz:nominal ~dies () in
+  let slow_fab = MC.simulate ~seed:7L ~model:(V.make ~fab_mean:V.slow_fab V.mature) ~nominal_mhz:nominal ~dies () in
+  let best_fab = MC.simulate ~seed:9L ~model:(V.make ~fab_mean:V.best_fab V.mature) ~nominal_mhz:nominal ~dies () in
+  let new_proc = MC.simulate ~seed:11L ~model:(V.make V.new_process) ~nominal_mhz:nominal ~dies () in
+  let typ_vs_worst = MC.percentile typical 50. /. (nominal *. V.signoff_speed (V.make ~fab_mean:V.slow_fab V.mature)) in
   let top_bin = B.top_bin_vs_typical new_proc in
   let custom_vs_asic = B.custom_best_vs_asic_worst ~custom:best_fab ~asic:slow_fab in
   let test_gain = B.speed_test_gain typical in
@@ -98,5 +79,3 @@ let run_with p =
           (Exp.mhz (MC.percentile typical 99.));
       ];
   }
-
-let run () = run_with default

@@ -25,15 +25,6 @@ let extensions =
     ("X8", "deep-submicron trends", X8_scaling_trends.run);
   ]
 
-let run_e3 ?(params = E3_pipelining.default) () =
-  Exp.observed "E3" (fun () -> E3_pipelining.run_with params) ()
-
-let run_e4 ?(params = E4_fo4_depth.default) () =
-  Exp.observed "E4" (fun () -> E4_fo4_depth.run_with params) ()
-
-let run_e9 ?(params = E9_process_variation.default) () =
-  Exp.observed "E9" (fun () -> E9_process_variation.run_with params) ()
-
 let find id =
   let id = String.uppercase_ascii id in
   List.find_map

@@ -40,20 +40,16 @@ type summary = {
    campaign runner: the logic class drives the headline x35/x3.4/x14
    calibration; the DSP class is multiplier-array silicon; the memory class
    is mux-tree (LUT-RAM-shaped) silicon. *)
-let logic_fixtures () =
-  [
-    ("cla16", Gap_datapath.Adders.cla_adder 16);
-    ("alu8", Gap_datapath.Alu.alu 8);
-    ("pop16", Gap_datapath.Counting.popcount ~width:16);
-  ]
-
-let dsp_fixtures () = [ ("mult8", Gap_datapath.Multiplier.array_multiplier ~width:8) ]
-let memory_fixtures () = [ ("shift32", Gap_datapath.Shifter.barrel_shifter ~width:32) ]
-
 let fixtures_of = function
-  | Charm.Logic -> logic_fixtures ()
-  | Charm.Logic_dsp | Charm.Logic_memory_dsp -> dsp_fixtures ()
-  | Charm.Logic_memory -> memory_fixtures ()
+  | Charm.Logic ->
+      [
+        ("cla16", Gap_datapath.Adders.cla_adder 16);
+        ("alu8", Gap_datapath.Alu.alu 8);
+        ("pop16", Gap_datapath.Counting.popcount ~width:16);
+      ]
+  | Charm.Logic_dsp | Charm.Logic_memory_dsp ->
+      [ ("mult8", Gap_datapath.Multiplier.array_multiplier ~width:8) ]
+  | Charm.Logic_memory -> [ ("shift32", Gap_datapath.Shifter.barrel_shifter ~width:32) ]
 
 (* levels of combinational instances between timing sources and endpoints *)
 let comb_depth nl =
@@ -112,12 +108,11 @@ let asic_backend () =
   let lib = Gap_liberty.Libgen.make Gap_tech.Tech.asic_025um Gap_liberty.Libgen.rich in
   Backend.asic ~lib ()
 
-let measure ?(vectors = default_vectors) ?fixtures variant =
+let measure ?(vectors = default_vectors) variant =
   Obs.span "fpga.gap3" (fun () ->
       let fabric = Fabric.of_variant variant in
       let asic = asic_backend () in
       let fpga = Backend.fpga ~fabric () in
-      let fixtures = match fixtures with Some f -> f | None -> fixtures_of variant in
       let shares = ref [] in
       let pairs =
         List.map
@@ -147,7 +142,7 @@ let measure ?(vectors = default_vectors) ?fixtures variant =
               freq_ratio = aside.freq_mhz /. fside.freq_mhz;
               power_ratio = fside.dynamic_mw /. aside.dynamic_mw;
             })
-          fixtures
+          (fixtures_of variant)
       in
       let lut_share = geomean (List.map fst !shares)
       and route_share = geomean (List.map snd !shares) in

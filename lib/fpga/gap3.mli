@@ -37,19 +37,11 @@ type summary = {
   route_share : float;
 }
 
-val logic_fixtures : unit -> (string * Gap_logic.Aig.t) list
-val dsp_fixtures : unit -> (string * Gap_logic.Aig.t) list
-val memory_fixtures : unit -> (string * Gap_logic.Aig.t) list
-
 val default_vectors : int
 val asic_backend : unit -> Backend.t
 (** The reference ASIC backend: rich 0.25um library, default flow effort. *)
 
-val measure :
-  ?vectors:int ->
-  ?fixtures:(string * Gap_logic.Aig.t) list ->
-  Gap_tech.Charm.variant ->
-  summary
+val measure : ?vectors:int -> Gap_tech.Charm.variant -> summary
 
 val freq_factors : summary -> (string * float) list
 (** Exact factor product of the frequency gap from the measured

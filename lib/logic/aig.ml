@@ -89,16 +89,6 @@ let fanins g id =
   | And (a, b) -> (a, b)
   | Const | Input _ -> invalid_arg "Aig.fanins: not an AND node"
 
-let rec of_expr g e env =
-  match (e : Expr.t) with
-  | Const true -> lit_true
-  | Const false -> lit_false
-  | Var i -> env.(i)
-  | Not a -> negate (of_expr g a env)
-  | And (a, b) -> and_ g (of_expr g a env) (of_expr g b env)
-  | Or (a, b) -> or_ g (of_expr g a env) (of_expr g b env)
-  | Xor (a, b) -> xor_ g (of_expr g a env) (of_expr g b env)
-
 let levels g =
   let n = num_nodes g in
   let lev = Array.make n 0 in
@@ -173,7 +163,7 @@ let cone_of g roots =
   (* [acc] is collected children-first, i.e. already topological. *)
   Array.of_list (List.rev !acc)
 
-let equivalent_random ?(rounds = 16) g1 g2 rng =
+let equivalent_random g1 g2 rng =
   num_inputs g1 = num_inputs g2
   && num_outputs g1 = num_outputs g2
   &&
@@ -186,7 +176,7 @@ let equivalent_random ?(rounds = 16) g1 g2 rng =
       if o1 = o2 then round (k - 1) else false
     end
   in
-  round rounds
+  round 16
 
 let pp_stats ppf g =
   Format.fprintf ppf "aig: %d inputs, %d outputs, %d ands, depth %d"

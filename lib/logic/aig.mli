@@ -51,9 +51,6 @@ val is_and : t -> int -> bool
 val fanins : t -> int -> lit * lit
 (** Fanin literals of an AND node. *)
 
-val of_expr : t -> Expr.t -> lit array -> lit
-(** [of_expr g e env] builds [e] with [Var i] bound to [env.(i)]. *)
-
 val levels : t -> int array
 (** Per-node AND-depth (inputs and constants at level 0). *)
 
@@ -79,11 +76,11 @@ val topo_ands : t -> int array
 val cone_of : t -> lit list -> int array
 (** Ids of all AND nodes in the transitive fanin of the given literals. *)
 
-val equivalent_random : ?rounds:int -> t -> t -> Gap_util.Rng.t -> bool
+val equivalent_random : t -> t -> Gap_util.Rng.t -> bool
 (** Monte Carlo combinational-equivalence check of two AIGs with identically
-    named/ordered inputs and outputs: 64 x [rounds] random patterns. Sound
-    only probabilistically; exhaustive for [<= 6] inputs when
-    [rounds * 64 >= 2^inputs] patterns are distinct, so the tests also use
-    {!eval} exhaustively on small cones. *)
+    named/ordered inputs and outputs: 64 x 16 random patterns. Sound only
+    probabilistically; exhaustive for [<= 6] inputs when the 1024 patterns
+    cover all [2^inputs], so the tests also use {!eval} exhaustively on
+    small cones. *)
 
 val pp_stats : Format.formatter -> t -> unit

@@ -14,7 +14,7 @@
 
    Spans and the experiment tag are owned by the domain that runs the
    experiment; counters, gauges and histograms may be recorded from worker
-   domains (the Monte Carlo shards do) and are mutex-protected. *)
+   domains (the DSE pool's evaluations do) and are mutex-protected. *)
 
 let now_ns : unit -> int64 = Monotonic_clock.now
 
@@ -86,7 +86,7 @@ type recorder = {
   lock : Mutex.t;
   stacks : (int * int, frame list ref) Hashtbl.t;
       (* span stacks are keyed by (domain id, thread id): worker domains
-         (the DSE pool, MC shards) and server threads (the serve daemon
+         (the DSE pool) and server threads (the serve daemon
          handles every client on its own thread within one domain) may open
          spans concurrently, and each execution context gets its own root.
          A plain DLS stack is not enough — systhreads within a domain share

@@ -55,9 +55,8 @@ val observe : ?bounds:float array -> string -> float -> unit
 
 val observe_batch : ?bounds:float array -> string -> float array -> unit
 (** Record every value of the array into the named histogram under a single
-    recorder-lock acquisition — what a worker domain should call once at
-    join time instead of {!observe} per work item. No-op on an empty
-    array. *)
+    recorder-lock acquisition — what a loop should call once at its end
+    instead of {!observe} per work item. No-op on an empty array. *)
 
 val event : string -> (string * Json.t) list -> unit
 (** Timestamped structured event; counted, and streamed to the trace. *)

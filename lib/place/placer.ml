@@ -31,8 +31,7 @@ type stats = {
   moves_accepted : int;
 }
 
-let die_side_um ?(utilization = 0.6) nl =
-  sqrt (Netlist.area_um2 nl /. utilization)
+let die_side_um nl = sqrt (Netlist.area_um2 nl /. default_options.utilization)
 
 (* Geometric cooling: the temperature decays from [t0] to
    [cooling_rate * t0] over the sweep schedule, i.e.
@@ -255,15 +254,14 @@ let anneal_body ~options nl =
     let sample_every = max 1 (sweeps / 16) in
     let last_accepted = ref 0 and last_proposed = ref 0 in
     (* best-so-far checkpoint, snapshotted at sweep boundaries: if a sweep
-       dies (injected fault, cooperative deadline) the anneal degrades to
-       this state instead of aborting the whole flow *)
+       dies (an injected fault) the anneal degrades to this state instead of
+       aborting the whole flow *)
     let best_cost = ref !cost in
     let best_slots = Array.copy g.slot_of_inst in
     let best_accepted = ref 0 in
     (try
        for sweep = 0 to sweeps - 1 do
          Gap_resilience.Fault.point "place.sweep";
-         Gap_resilience.Supervisor.poll_deadline ~stage:"place.anneal";
          let temperature =
            t0 *. cooling_rate ** (float_of_int sweep /. float_of_int (max 1 (sweeps - 1)))
          in

@@ -28,5 +28,6 @@ val place : ?options:options -> Gap_netlist.Netlist.t -> stats
 val place_random : ?seed:int64 -> Gap_netlist.Netlist.t -> stats
 (** Random scatter over the same grid: the no-floorplanning baseline. *)
 
-val die_side_um : ?utilization:float -> Gap_netlist.Netlist.t -> float
-(** Side of the square die implied by total cell area and utilization. *)
+val die_side_um : Gap_netlist.Netlist.t -> float
+(** Side of the square die implied by total cell area at the default
+    options' utilization. *)

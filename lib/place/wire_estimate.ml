@@ -1,6 +1,6 @@
 module Netlist = Gap_netlist.Netlist
 
-let annotate ?(use_repeaters = true) nl =
+let annotate nl =
   let tech = Gap_liberty.Library.tech (Netlist.lib nl) in
   let wire = Gap_interconnect.Wire.of_tech tech in
   let drv = Gap_interconnect.Repeater.default_driver tech in
@@ -10,10 +10,7 @@ let annotate ?(use_repeaters = true) nl =
       Netlist.set_wire_cap_ff nl net (Gap_interconnect.Wire.total_c_ff wire ~length_um:len);
       let bare = Gap_interconnect.Wire.rc_delay_ps wire ~length_um:len in
       let delay =
-        if use_repeaters then
-          Float.min bare
-            (Gap_interconnect.Repeater.optimal_delay_ps drv wire ~length_um:len)
-        else bare
+        Float.min bare (Gap_interconnect.Repeater.optimal_delay_ps drv wire ~length_um:len)
       in
       (* fault site: a corrupted (NaN) wire delay must be caught by the
          bad-parasitic gate rule or the supervised STA NaN scan downstream *)

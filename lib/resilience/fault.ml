@@ -19,14 +19,10 @@ let catalog =
     ("synth.map", [ Stage_error.Transient ], "technology mapping fails transiently; the flow retries");
     ("synth.sizing", [ Stage_error.Transient ], "TILOS sizing fails transiently at stage entry; the flow retries");
     ("sta.analyze", [ Stage_error.Transient ], "timing analysis fails transiently; the caller retries");
-    ("place.sweep", [ Stage_error.Transient; Stage_error.Deadline ],
+    ("place.sweep", [ Stage_error.Transient ],
      "an anneal sweep dies; the placer falls back to its best-so-far checkpoint");
     ("place.parasitic", [ Stage_error.Corrupt ],
      "a back-annotated wire delay is corrupted to NaN; gates/STA reject it with a typed diagnostic");
-    ("mc.worker", [ Stage_error.Worker_kill ],
-     "a Monte Carlo worker domain dies; all domains are joined and the run degrades to sequential");
-    ("mc.budget", [ Stage_error.Deadline ],
-     "the Monte Carlo budget is exhausted up front; the run degrades to fewer domains");
     ("dse.worker", [ Stage_error.Worker_kill ],
      "a DSE pool worker domain dies after claiming a point; the pool rejoins and \
       re-runs the orphaned points sequentially under supervision");

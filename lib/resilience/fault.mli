@@ -8,8 +8,9 @@
     {e which hit} of {e which site} fails, never a probability, so a
     campaign replays exactly from its spec (seeds only choose specs).
 
-    Sites may be hit from worker domains (the Monte Carlo shards hit
-    [mc.worker]); the armed state is mutex-protected. *)
+    Sites may be hit from worker domains (the DSE pool's workers hit
+    [dse.worker]) and from daemon request threads; the armed state is
+    mutex-protected. *)
 
 type spec = {
   site : string;  (** catalog site name, e.g. ["place.sweep"] *)

@@ -1,16 +1,10 @@
 module Json = Gap_obs.Json
 
-type fault_kind = Transient | Corrupt | Deadline | Worker_kill
+type fault_kind = Transient | Corrupt | Worker_kill
 
 type t =
   | Netlist_defect of { stage : string; rule : string; detail : string }
   | Numeric_fault of { stage : string; what : string; value : float }
-  | Deadline_exceeded of {
-      stage : string;
-      elapsed_ns : int64;
-      budget_ns : int64;
-    }
-  | Worker_failed of { stage : string; worker : int; error : string }
   | Injected of { site : string; kind : fault_kind }
   | Storage_fault of {
       stage : string;
@@ -28,8 +22,6 @@ exception Stage_failure of t
 let stage = function
   | Netlist_defect { stage; _ }
   | Numeric_fault { stage; _ }
-  | Deadline_exceeded { stage; _ }
-  | Worker_failed { stage; _ }
   | Storage_fault { stage; _ }
   | Exhausted_retries { stage; _ }
   | Interrupted { stage }
@@ -40,21 +32,12 @@ let stage = function
 let kind_string = function
   | Transient -> "transient"
   | Corrupt -> "corrupt"
-  | Deadline -> "deadline"
   | Worker_kill -> "worker-kill"
 
-let kind_of_string = function
-  | "transient" -> Some Transient
-  | "corrupt" -> Some Corrupt
-  | "deadline" -> Some Deadline
-  | "worker-kill" -> Some Worker_kill
-  | _ -> None
-
 let retryable = function
-  | Injected { kind = Transient; _ } | Worker_failed _ -> true
-  | Netlist_defect _ | Numeric_fault _ | Deadline_exceeded _
-  | Injected _ | Storage_fault _ | Exhausted_retries _ | Interrupted _
-  | Unclassified _ ->
+  | Injected { kind = Transient; _ } -> true
+  | Netlist_defect _ | Numeric_fault _ | Injected _ | Storage_fault _
+  | Exhausted_retries _ | Interrupted _ | Unclassified _ ->
       false
 
 let rec to_string = function
@@ -62,11 +45,6 @@ let rec to_string = function
       Printf.sprintf "[%s] netlist defect (%s): %s" stage rule detail
   | Numeric_fault { stage; what; value } ->
       Printf.sprintf "[%s] numeric fault: %s = %h" stage what value
-  | Deadline_exceeded { stage; elapsed_ns; budget_ns } ->
-      Printf.sprintf "[%s] deadline exceeded: %Ld ns elapsed of %Ld ns budget"
-        stage elapsed_ns budget_ns
-  | Worker_failed { stage; worker; error } ->
-      Printf.sprintf "[%s] worker %d failed: %s" stage worker error
   | Injected { site; kind } ->
       Printf.sprintf "[%s] injected %s fault" site (kind_string kind)
   | Storage_fault { stage; store; segment; offset; detail } ->
@@ -94,15 +72,6 @@ let rec to_json e =
   | Numeric_fault { what; value; _ } ->
       base "numeric-fault"
         [ ("what", Json.Str what); ("value", Json.Float value) ]
-  | Deadline_exceeded { elapsed_ns; budget_ns; _ } ->
-      base "deadline-exceeded"
-        [
-          ("elapsed_ns", Json.Int (Int64.to_int elapsed_ns));
-          ("budget_ns", Json.Int (Int64.to_int budget_ns));
-        ]
-  | Worker_failed { worker; error; _ } ->
-      base "worker-failed"
-        [ ("worker", Json.Int worker); ("detail", Json.Str error) ]
   | Injected { kind; _ } ->
       base "injected" [ ("kind", Json.Str (kind_string kind)) ]
   | Storage_fault { store; segment; offset; detail; _ } ->

@@ -11,7 +11,6 @@
 type fault_kind =
   | Transient  (** fails a bounded number of times, then succeeds: retry *)
   | Corrupt  (** silently corrupts a numeric value (NaN): detect + reject *)
-  | Deadline  (** budget/deadline exhaustion: degrade, don't retry *)
   | Worker_kill  (** kills a worker domain: rejoin + fall back *)
 
 type t =
@@ -19,13 +18,6 @@ type t =
       (** a design-rule violation surfaced at a stage boundary *)
   | Numeric_fault of { stage : string; what : string; value : float }
       (** a NaN/infinite quantity where a finite one is required *)
-  | Deadline_exceeded of {
-      stage : string;
-      elapsed_ns : int64;
-      budget_ns : int64;
-    }
-  | Worker_failed of { stage : string; worker : int; error : string }
-      (** a worker domain died; [error] is the printed cause *)
   | Injected of { site : string; kind : fault_kind }
       (** a fault deliberately raised by {!Fault} at a named site *)
   | Storage_fault of {
@@ -53,14 +45,12 @@ val stage : t -> string
 (** The owning stage or fault site. *)
 
 val kind_string : fault_kind -> string
-(** ["transient"] / ["corrupt"] / ["deadline"] / ["worker-kill"]. *)
-
-val kind_of_string : string -> fault_kind option
+(** ["transient"] / ["corrupt"] / ["worker-kill"]. *)
 
 val retryable : t -> bool
 (** Whether re-running the stage can plausibly succeed: true for
-    [Injected Transient] and [Worker_failed], false for everything else
-    (corruption persists, deadlines and defects need a different remedy). *)
+    [Injected Transient], false for everything else (corruption persists,
+    defects need a different remedy). *)
 
 val to_string : t -> string
 val to_json : t -> Gap_obs.Json.t

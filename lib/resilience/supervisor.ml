@@ -30,37 +30,6 @@ let guard_finite ~stage ~what v =
       (Stage_error.Stage_failure (Stage_error.Numeric_fault { stage; what; value = v }));
   v
 
-(* --- cooperative deadlines: (absolute deadline, budget) --- *)
-
-let deadline : (int64 * int64) option ref = ref None
-
-let with_deadline_ns budget f =
-  let now = Obs.now_ns () in
-  let mine = Int64.add now budget in
-  let prev = !deadline in
-  let armed =
-    match prev with
-    | Some (d, b) when d <= mine -> Some (d, b) (* enclosing deadline is tighter *)
-    | _ -> Some (mine, budget)
-  in
-  deadline := armed;
-  Fun.protect ~finally:(fun () -> deadline := prev) f
-
-let poll_deadline ~stage =
-  match !deadline with
-  | None -> ()
-  | Some (d, budget) ->
-      let now = Obs.now_ns () in
-      if now > d then
-        raise
-          (Stage_error.Stage_failure
-             (Stage_error.Deadline_exceeded
-                {
-                  stage;
-                  elapsed_ns = Int64.sub now (Int64.sub d budget);
-                  budget_ns = budget;
-                }))
-
 let attempt_json a =
   Json.Obj
     [

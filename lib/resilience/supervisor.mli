@@ -1,4 +1,4 @@
-(** Supervised stage execution: retries, deadlines, typed outcomes.
+(** Supervised stage execution: retries and typed outcomes.
 
     Two entry points:
 
@@ -14,9 +14,7 @@
       (e.g. [repro all]) can report partial results instead of dying on the
       first error.
 
-    Both record [resilience.*] counters and events through [Gap_obs].
-    Deadlines are cooperative: long loops (anneal sweeps, Monte Carlo
-    shards) call {!poll_deadline}, one word read when no deadline is set. *)
+    Both record [resilience.*] counters and events through [Gap_obs]. *)
 
 type policy = {
   max_retries : int;  (** retries after the first attempt *)
@@ -51,13 +49,5 @@ val supervised : unit -> bool
 val guard_finite : stage:string -> what:string -> float -> float
 (** Identity when unsupervised or finite; otherwise raises
     [Stage_failure (Numeric_fault _)]. *)
-
-val with_deadline_ns : int64 -> (unit -> 'a) -> 'a
-(** Arm a cooperative deadline [budget] ns from now for the duration of the
-    callback (restored on exit; an enclosing tighter deadline wins). *)
-
-val poll_deadline : stage:string -> unit
-(** Raise [Stage_failure (Deadline_exceeded _)] if an armed deadline has
-    passed. One word read when none is armed. *)
 
 val attempt_json : attempt -> Gap_obs.Json.t

@@ -40,14 +40,14 @@ let feasible ?(ring = false) ~stage_delays ~period clocking =
     iterate 0. 0
   end
 
-let min_period ?(ring = false) ?(epsilon = 1e-3) ~stage_delays clocking =
+let min_period ?(ring = false) ~stage_delays clocking =
   let total = Array.fold_left ( +. ) 0. stage_delays in
   let worst = Array.fold_left Float.max 0. stage_delays in
   let n = float_of_int (Array.length stage_delays) in
   (* bounds: never below the average (throughput), never above the worst
      stage (which is always feasible, even for flops) *)
   let lo = ref (Float.max 1e-9 (total /. n /. 2.)) and hi = ref (Float.max worst 1e-9) in
-  while !hi -. !lo > epsilon do
+  while !hi -. !lo > 1e-3 do
     let mid = (!lo +. !hi) /. 2. in
     if feasible ~ring ~stage_delays ~period:mid clocking then hi := mid else lo := mid
   done;

@@ -28,13 +28,8 @@ val feasible :
     feeding the first (a loop, as in a processor pipeline with a bypass);
     default is a linear pipeline whose input departs at the edge. *)
 
-val min_period :
-  ?ring:bool ->
-  ?epsilon:float ->
-  stage_delays:float array ->
-  clocking ->
-  float
-(** Binary search over {!feasible}. [epsilon] defaults to [1e-3]. *)
+val min_period : ?ring:bool -> stage_delays:float array -> clocking -> float
+(** Binary search over {!feasible}, to within 1e-3. *)
 
 val borrowing_gain :
   ?ring:bool -> stage_delays:float array -> duty:float -> unit -> float

@@ -78,7 +78,7 @@ let feasible t ~period_ps =
 
 let sta_period_ps nl = (Gap_sta.Sta.analyze nl).Gap_sta.Sta.min_period_ps
 
-let retiming_bound_ps ?(epsilon = 0.5) nl =
+let retiming_bound_ps nl =
   let t = of_netlist nl in
   let max_delay = Array.fold_left Float.max 0. t.delays in
   let hi0 = Float.max (sta_period_ps nl) max_delay in
@@ -87,7 +87,7 @@ let retiming_bound_ps ?(epsilon = 0.5) nl =
      it by construction of the netlist timing *)
   if not (feasible t ~period_ps:!hi) then !hi
   else begin
-    while !hi -. !lo > epsilon do
+    while !hi -. !lo > 0.5 do
       let mid = (!lo +. !hi) /. 2. in
       if feasible t ~period_ps:mid then hi := mid else lo := mid
     done;

@@ -24,8 +24,9 @@ val of_netlist : Gap_netlist.Netlist.t -> t
 val feasible : t -> period_ps:float -> bool
 (** No cycle with more delay than [period x registers]. *)
 
-val retiming_bound_ps : ?epsilon:float -> Gap_netlist.Netlist.t -> float
-(** The smallest feasible period: what an ideal retiming could reach. *)
+val retiming_bound_ps : Gap_netlist.Netlist.t -> float
+(** The smallest feasible period, within 0.5 ps: what an ideal retiming
+    could reach. *)
 
 val sta_period_ps : Gap_netlist.Netlist.t -> float
 (** Current STA min period, for comparison. *)

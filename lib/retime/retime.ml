@@ -90,7 +90,7 @@ let feasible t ~period =
   | exception (Register_free_cycle _ | Invalid_argument _) -> ());
   if !ok then Some r else None
 
-let min_period ?(epsilon = 1e-3) t =
+let min_period t =
   let upper = clock_period t in
   let lower =
     let acc = ref 0. in
@@ -99,7 +99,7 @@ let min_period ?(epsilon = 1e-3) t =
   in
   let best = ref (upper, Array.make (node_count t) 0) in
   let lo = ref lower and hi = ref upper in
-  while !hi -. !lo > epsilon do
+  while !hi -. !lo > 1e-3 do
     let mid = (!lo +. !hi) /. 2. in
     match feasible t ~period:mid with
     | Some r ->

@@ -42,9 +42,9 @@ val legal : t -> int array -> bool
 val feasible : t -> period:float -> int array option
 (** FEAS: a legal retiming achieving [period], if one exists. *)
 
-val min_period : ?epsilon:float -> t -> float * int array
+val min_period : t -> float * int array
 (** Binary search over [feasible]; returns the best period found (within
-    [epsilon], default 1e-3) and its retiming. *)
+    1e-3) and its retiming. *)
 
 val registers : ?retiming:int array -> t -> int
 (** Total registers on edges under a retiming. *)

@@ -38,13 +38,12 @@ let connect_error_to_string = function
         elapsed_s last_error
 
 (* Deterministic exponential backoff: attempt [k] sleeps
-   [min max_delay_s (base_delay_s * 2^k)] — no jitter, so a failing
+   [min 0.5 (base_delay_s * 2^k)] — no jitter, so a failing
    connect produces the same attempt schedule every run. The total
    [deadline_s] budget caps the loop: the final sleep is clipped to the
    time remaining, and one last attempt fires at the deadline so a daemon
    that binds exactly then is still caught. *)
-let connect_retry ?(base_delay_s = 0.01) ?(max_delay_s = 0.5) ?(deadline_s = 5.0)
-    addr =
+let connect_retry ?(base_delay_s = 0.01) ?(deadline_s = 5.0) addr =
   let start = Unix.gettimeofday () in
   let deadline_s = Float.max 0. deadline_s in
   let rec go k =
@@ -64,7 +63,7 @@ let connect_retry ?(base_delay_s = 0.01) ?(max_delay_s = 0.5) ?(deadline_s = 5.0
                })
         else begin
           let backoff =
-            Float.min max_delay_s (base_delay_s *. Float.pow 2. (float_of_int k))
+            Float.min 0.5 (base_delay_s *. Float.pow 2. (float_of_int k))
           in
           Unix.sleepf (Float.min backoff (deadline_s -. elapsed));
           go (k + 1)

@@ -22,13 +22,12 @@ val connect_error_to_string : connect_error -> string
 
 val connect_retry :
   ?base_delay_s:float ->
-  ?max_delay_s:float ->
   ?deadline_s:float ->
   Protocol.addr ->
   (t, connect_error) result
 (** Retry [connect] under deterministic exponential backoff — attempt [k]
-    waits [min max_delay_s (base_delay_s * 2^k)] (defaults 0.01s doubling
-    to 0.5s) — until the total [deadline_s] budget (default 5s) runs out,
+    waits [min 0.5 (base_delay_s * 2^k)] seconds ([base_delay_s] defaults
+    to 0.01) — until the total [deadline_s] budget (default 5s) runs out,
     then a typed {!Connect_timeout}. For racing a daemon that is still
     binding its socket. *)
 

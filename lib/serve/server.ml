@@ -16,8 +16,6 @@ type config = {
   store : string option;
   capacity : int;
   queue_bound : int;
-  fair_share : int;
-  batch_max : int;
   idle_timeout_s : float option;
 }
 
@@ -28,8 +26,6 @@ let default_config addr =
     store = None;
     capacity = 4096;
     queue_bound = 64;
-    fair_share = 8;
-    batch_max = 256;
     idle_timeout_s = None;
   }
 
@@ -171,6 +167,9 @@ let release_client t cl =
    repeating passes until [batch_max] or every queue is empty. A client
    flooding its (bounded) queue therefore delays a one-point client by at
    most one pass, not by its whole backlog. Callers hold the lock. *)
+let fair_share = 8
+let batch_max = 256
+
 let collect_batch t =
   let order =
     match t.client_order with
@@ -189,7 +188,7 @@ let collect_batch t =
   let batch = ref [] in
   let n = ref 0 in
   let progress = ref true in
-  while !progress && !n < t.cfg.batch_max do
+  while !progress && !n < batch_max do
     progress := false;
     List.iter
       (fun id ->
@@ -198,8 +197,8 @@ let collect_batch t =
         | Some cl ->
             let take = ref 0 in
             while
-              !take < t.cfg.fair_share
-              && !n < t.cfg.batch_max
+              !take < fair_share
+              && !n < batch_max
               && not (Queue.is_empty cl.cl_queue)
             do
               batch := Queue.pop cl.cl_queue :: !batch;
@@ -477,7 +476,6 @@ let stats_json t =
           ("idle_evictions", Json.Int t.n_idle_evictions);
           ("flush_failures", Json.Int t.n_flush_failures);
           ("queue_bound", Json.Int t.cfg.queue_bound);
-          ("fair_share", Json.Int t.cfg.fair_share);
           ("domains", Json.Int t.cfg.domains);
           ( "cache",
             Json.Obj

@@ -8,7 +8,8 @@
     thread: a request thread waiting on a queued point runs the next batch
     itself when no batch is running, so each miss costs no thread hand-off,
     and at most one batch runs at a time. A batch drains the queues with
-    round-robin fairness and runs on {!Gap_dse.Pool.map}, so every
+    round-robin fairness (at most 8 points per client per pass, 256 per
+    batch) and runs on {!Gap_dse.Pool.map}, so every
     evaluation goes through the supervised worker pool and a poisoned point
     comes back as a typed {!Gap_resilience.Stage_error.t} instead of
     killing the server. Before it collects its points, the thread that
@@ -50,8 +51,6 @@ type config = {
   store : string option;  (** persistent cache store path *)
   capacity : int;  (** in-memory LRU capacity *)
   queue_bound : int;  (** max queued evals per client before it blocks *)
-  fair_share : int;  (** max jobs one client contributes per scheduling pass *)
-  batch_max : int;  (** max jobs per [Pool.map] batch *)
   idle_timeout_s : float option;
       (** evict a connection silent for this long: its reader thread sends a
           typed [Timeout] response (best-effort, if the socket is writable)
@@ -59,8 +58,8 @@ type config = {
 }
 
 val default_config : Protocol.addr -> config
-(** domains 1, no store, capacity 4096, queue_bound 64, fair_share 8,
-    batch_max 256, no idle timeout. *)
+(** domains 1, no store, capacity 4096, queue_bound 64, no idle
+    timeout. *)
 
 type t
 

@@ -55,7 +55,10 @@ let subset a b =
 
 let dominated c existing = List.exists (fun e -> subset e.leaves c.leaves) existing
 
-let insert_cut per_node cuts c =
+(* cuts kept per node *)
+let per_node = 10
+
+let insert_cut cuts c =
   if dominated c cuts then cuts
   else begin
     let survivors = List.filter (fun e -> not (subset c.leaves e.leaves)) cuts in
@@ -73,7 +76,7 @@ let insert_cut per_node cuts c =
     end
   end
 
-let enumerate ?(k = 4) ?(per_node = 10) g =
+let enumerate ?(k = 4) g =
   let n = Aig.num_nodes g in
   let cuts = Array.make n [] in
   for id = 0 to n - 1 do
@@ -86,7 +89,7 @@ let enumerate ?(k = 4) ?(per_node = 10) g =
           List.iter
             (fun cb ->
               match merge k ca cb with
-              | Some c -> acc := insert_cut per_node !acc c
+              | Some c -> acc := insert_cut !acc c
               | None -> ())
             cuts.(ib))
         cuts.(ia);

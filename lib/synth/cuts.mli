@@ -10,11 +10,10 @@ type cut = { leaves : int array  (** node ids, sorted ascending *) }
 val trivial : int -> cut
 val size : cut -> int
 
-val enumerate : ?k:int -> ?per_node:int -> Gap_logic.Aig.t -> cut list array
+val enumerate : ?k:int -> Gap_logic.Aig.t -> cut list array
 (** [enumerate g] returns, for every node id, its cut list (trivial cut
-    included, dominated cuts pruned, at most [per_node] kept). Inputs and the
-    constant node get only their trivial cut. Defaults: [k = 4],
-    [per_node = 10]. *)
+    included, dominated cuts pruned, at most 10 kept). Inputs and the
+    constant node get only their trivial cut. [k] defaults to 4. *)
 
 val cut_function : Gap_logic.Aig.t -> int -> cut -> Gap_logic.Truthtable.t
 (** [cut_function g root cut] is the function of [root] (positive phase) in

@@ -18,14 +18,14 @@ let delay_cells lib =
       | i :: _ -> [ i; i ] (* pair keeps polarity *)
       | [] -> failwith "Hold_fix: library has neither buffers nor inverters")
 
-let fix_body ~skew_ps ~max_iterations nl =
+(* padding passes before the fix gives up *)
+let max_iterations = 10
+
+let fix_body ~skew_ps nl =
   let lib = Netlist.lib nl in
   let cells = delay_cells lib in
   let unit_delay =
     List.fold_left (fun acc (c : Cell.t) -> acc +. c.Cell.intrinsic_ps) 0. cells
-  in
-  let unit_area =
-    List.fold_left (fun acc (c : Cell.t) -> acc +. c.Cell.area_um2) 0. cells
   in
   let inserted = ref 0 and area = ref 0. in
   let pad_pin ~inst ~pin units =
@@ -38,8 +38,7 @@ let fix_body ~skew_ps ~max_iterations nl =
           incr inserted;
           area := !area +. cell.Cell.area_um2)
         cells
-    done;
-    ignore unit_area
+    done
   in
   let rec loop iter =
     let h = Hold.analyze ~skew_ps nl in
@@ -61,9 +60,7 @@ let fix_body ~skew_ps ~max_iterations nl =
   Gap_obs.Obs.incr ~by:r.buffers_inserted "synth.hold_buffers_inserted";
   r
 
-let fix ?(skew_ps = 0.) ?(max_iterations = 10) nl =
-  let r =
-    Gap_obs.Obs.span "synth.hold_fix" (fun () -> fix_body ~skew_ps ~max_iterations nl)
-  in
+let fix ?(skew_ps = 0.) nl =
+  let r = Gap_obs.Obs.span "synth.hold_fix" (fun () -> fix_body ~skew_ps nl) in
   Gap_netlist.Check.gate ~stage:"synth.hold_fix" nl;
   r

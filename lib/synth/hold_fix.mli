@@ -14,8 +14,8 @@ type result = {
   clean : bool;  (** all hold endpoints non-negative afterwards *)
 }
 
-val fix : ?skew_ps:float -> ?max_iterations:int -> Gap_netlist.Netlist.t -> result
+val fix : ?skew_ps:float -> Gap_netlist.Netlist.t -> result
 (** Inserts minimum-size buffers in front of violating flop D pins until
-    {!Gap_sta.Hold.analyze} is clean or [max_iterations] (default 10) passes
-    elapse. Mutates the netlist; logic function is unchanged (buffers are
-    non-inverting). Uses inverter pairs when the library has no buffer. *)
+    {!Gap_sta.Hold.analyze} is clean or 10 passes elapse. Mutates the
+    netlist; logic function is unchanged (buffers are non-inverting). Uses
+    inverter pairs when the library has no buffer. *)

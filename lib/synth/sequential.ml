@@ -1,8 +1,8 @@
 module Netlist = Gap_netlist.Netlist
 
-let close_loops ?flop ~loops nl =
+let close_loops ~loops nl =
   let lib = Netlist.lib nl in
-  let flop = match flop with Some f -> f | None -> Gap_liberty.Library.smallest_flop lib in
+  let flop = Gap_liberty.Library.smallest_flop lib in
   let input_names = List.map fst loops in
   let output_names = List.map snd loops in
   let find_input name =

@@ -9,14 +9,11 @@
     oblivious to sequential structure. *)
 
 val close_loops :
-  ?flop:Gap_liberty.Cell.t ->
-  loops:(string * string) list ->
-  Gap_netlist.Netlist.t ->
-  Gap_netlist.Netlist.t
+  loops:(string * string) list -> Gap_netlist.Netlist.t -> Gap_netlist.Netlist.t
 (** [close_loops ~loops nl] returns a fresh netlist in which, for every
     [(input_name, output_name)] pair, the primary input is replaced by the Q
     of a new flop whose D is the net of the named output, and both ports
     disappear from the interface. Port order of the remaining ports is
-    preserved. [flop] defaults to the library's smallest flop.
+    preserved. Every flop is the library's smallest.
 
     Raises [Invalid_argument] if a named port is missing. *)

@@ -19,22 +19,8 @@ let ratios = function
   | Logic_memory -> { area = 33.; freq = 3.5; dynamic_power = 14. }
   | Logic_memory_dsp -> { area = 18.; freq = 3.0; dynamic_power = 7.1 }
 
-let all = [ Logic; Logic_dsp; Logic_memory; Logic_memory_dsp ]
-
 let variant_name = function
   | Logic -> "logic"
   | Logic_dsp -> "logic-dsp"
   | Logic_memory -> "logic-memory"
   | Logic_memory_dsp -> "logic-memory-dsp"
-
-let variant_of_name = function
-  | "logic" -> Some Logic
-  | "logic-dsp" -> Some Logic_dsp
-  | "logic-memory" -> Some Logic_memory
-  | "logic-memory-dsp" -> Some Logic_memory_dsp
-  | _ -> None
-
-let pp ppf v =
-  let r = ratios v in
-  Format.fprintf ppf "%s: area x%.0f, freq x%.1f, dyn power x%.1f"
-    (variant_name v) r.area r.freq r.dynamic_power

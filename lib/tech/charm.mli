@@ -22,7 +22,4 @@ type ratios = {
 }
 
 val ratios : variant -> ratios
-val all : variant list
 val variant_name : variant -> string
-val variant_of_name : string -> variant option
-val pp : Format.formatter -> variant -> unit

@@ -1,11 +1,11 @@
 (* xoshiro256** state lives in a 4-word int64 Bigarray rather than four
    boxed [Int64.t] record fields: ocamlopt compiles int64 Bigarray loads,
    stores, and the arithmetic between them to fully unboxed code even
-   without flambda, so the batched fill below — and the Monte Carlo worker
-   domains built on it — run allocation-free. Boxed-state drawing used to
-   cost ~20 minor words per normal sample, and that steady churn forced
+   without flambda, so the batched fill below — and the Monte Carlo shards
+   built on it — run allocation-free. Boxed-state drawing used to cost ~20
+   minor words per normal sample, and that steady churn forced
    stop-the-world minor collections across every domain of a parallel
-   sampler. *)
+   sweep. *)
 type state = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = {
@@ -117,8 +117,8 @@ let rec u_nonzero t =
    would produce call by call (including the cached spare at entry and
    exit), but with the generator and the Box-Muller transform inlined into
    one loop over the unboxed Bigarray state, so the whole fill allocates
-   nothing — worker domains sampling concurrently never trigger a
-   stop-the-world minor collection. *)
+   nothing — Monte Carlo runs on concurrent DSE pool domains never trigger
+   a stop-the-world minor collection. *)
 let normal_std_fill t buf ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Array.length buf then
     invalid_arg

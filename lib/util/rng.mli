@@ -8,7 +8,8 @@
     reference implementations of Blackman and Vigna. The state lives in an
     int64 Bigarray so that drawing — in particular the batched
     {!normal_std_fill} — compiles to unboxed code and allocates nothing,
-    which keeps parallel Monte Carlo workers free of minor-GC barriers. *)
+    which keeps Monte Carlo runs on concurrent domains free of minor-GC
+    barriers. *)
 
 type t
 (** Mutable generator state. *)
@@ -24,7 +25,7 @@ val copy : t -> t
 val split : t -> t
 (** [split t] derives a new generator from [t], advancing [t]. Streams of the
     parent and child are (statistically) independent; used to give each
-    Monte Carlo die or annealing worker its own stream. *)
+    Monte Carlo shard its own stream. *)
 
 val int64 : t -> int64
 (** Next raw 64-bit output. *)

@@ -84,9 +84,8 @@ let histogram ?(bins = 20) xs =
 (* --- unboxed sample buffers ---
 
    Monte Carlo workloads sample millions of float64 values; a Bigarray
-   buffer keeps them as flat unboxed memory that worker domains can write
-   concurrently (disjoint ranges) without the GC moving it under them.
-   Order statistics never reorder the buffer. A rank within [n/32] of
+   buffer keeps them as flat unboxed memory that the GC never scans or
+   moves. Order statistics never reorder the buffer. A rank within [n/32] of
    either end is read in one pass that keeps that tail in a bounded binary
    heap; any other rank runs quickselect on a copy. Both paths load every
    sample, and a NaN, which has no place in an ascending order, is

@@ -47,14 +47,14 @@ val histogram : ?bins:int -> float array -> (float * float * int) array
 
 (** {1 Unboxed sample buffers}
 
-    Flat [float64] Bigarray buffers for large sample sets. Worker domains
-    may write disjoint ranges concurrently (the buffer never moves under
-    the GC). Order statistics are read without a sort and without
-    modifying the buffer: a rank within [n/32] of either end (p1 or p99 of
-    a few thousand samples, say) takes one pass that keeps only that tail
-    in a bounded heap, and any other rank runs median-of-three quickselect
-    on a copy. Structural equality ([=]) on two buffers compares
-    dimensions and contents, so byte-identity assertions work unchanged. *)
+    Flat [float64] Bigarray buffers for large sample sets, outside the
+    OCaml heap (the GC never scans or moves them). Order statistics are
+    read without a sort and without modifying the buffer: a rank within
+    [n/32] of either end (p1 or p99 of a few thousand samples, say) takes
+    one pass that keeps only that tail in a bounded heap, and any other
+    rank runs median-of-three quickselect on a copy. Structural equality
+    ([=]) on two buffers compares dimensions and contents, so
+    byte-identity assertions work unchanged. *)
 
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 

@@ -1,4 +1,4 @@
-(* Tests for Gap_datapath: adders, multiplier, shifter, comparator, ALU,
+(* Tests for Gap_datapath: adders, multiplier, shifter, ALU,
    random logic. All generators are checked bit-accurately against integer
    reference models. *)
 
@@ -125,18 +125,6 @@ let test_shift_right_and_rotate () =
       let rot = Word.value (Array.sub out width width) in
       Alcotest.(check int) "shr" (x lsr s) r;
       Alcotest.(check int) "rotl" (((x lsl s) lor (x lsr (8 - s))) land 255) rot
-    done
-  done
-
-let test_comparator () =
-  let width = 5 in
-  let g = Gap_datapath.Comparator.comparator ~width in
-  for a = 0 to 31 do
-    for b = 0 to 31 do
-      let ins = Array.append (Word.to_bools ~width a) (Word.to_bools ~width b) in
-      let out = Aig.eval g ins in
-      Alcotest.(check bool) "eq" (a = b) out.(0);
-      Alcotest.(check bool) "lt" (a < b) out.(1)
     done
   done
 
@@ -341,7 +329,6 @@ let suite =
     QCheck_alcotest.to_alcotest multiplier_random_prop;
     ("barrel shifter", `Quick, test_shifter);
     ("shift right / rotate", `Quick, test_shift_right_and_rotate);
-    ("comparator", `Quick, test_comparator);
     QCheck_alcotest.to_alcotest (alu_prop `Ripple);
     QCheck_alcotest.to_alcotest (alu_prop `Cla);
     QCheck_alcotest.to_alcotest (alu_prop `Kogge_stone);

@@ -71,40 +71,9 @@ let test_check_helper () =
   Alcotest.(check bool) "outside" true
     (match Exp.check 5. ~lo:1. ~hi:2. with Exp.Near _ -> true | _ -> false)
 
-let test_params_defaults_identical () =
-  (* the parameterized entry points at their default records must render
-     byte-identically to the historical fixed runs *)
-  List.iter
-    (fun (name, fixed, param) ->
-      Alcotest.(check string) (name ^ " default params byte-identical")
-        (Exp.render (fixed ())) (Exp.render (param ())))
-    [
-      ("E3", Gap_experiments.E3_pipelining.run, fun () -> Registry.run_e3 ());
-      ("E4", Gap_experiments.E4_fo4_depth.run, fun () -> Registry.run_e4 ());
-      ("E9", Gap_experiments.E9_process_variation.run, fun () -> Registry.run_e9 ());
-    ]
-
-let test_params_thread_through () =
-  let contains sub s =
-    let n = String.length sub and m = String.length s in
-    let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
-  let module E9 = Gap_experiments.E9_process_variation in
-  let r = Registry.run_e9 ~params:{ E9.default with E9.dies = 2000 } () in
-  Alcotest.(check bool) "E9 note reflects the tuned die count" true
-    (List.exists (contains "2000 dies") r.Exp.notes);
-  assert_all_pass r;
-  let module E4 = Gap_experiments.E4_fo4_depth in
-  let r4 = Registry.run_e4 ~params:{ E4.default with E4.cycle_fo4 = 10. } () in
-  Alcotest.(check bool) "E4 rows reflect the tuned cycle depth" true
-    (contains "10 FO4 cycle" (Exp.render r4))
-
 let suite =
   [
     ("registry complete", `Quick, test_registry_complete);
-    ("tunable params default to historical output", `Quick, test_params_defaults_identical);
-    ("tunable params thread through", `Quick, test_params_thread_through);
     ("registry find", `Quick, test_find);
     ("render", `Quick, test_render_contains_verdicts);
     ("passes counter", `Quick, test_passes_counter);

@@ -1,8 +1,7 @@
-(* Tests for Gap_logic: truth tables, NPN classification, expressions, AIGs. *)
+(* Tests for Gap_logic: truth tables, NPN classification, AIGs. *)
 
 module Tt = Gap_logic.Truthtable
 module Npn = Gap_logic.Npn
-module Expr = Gap_logic.Expr
 module Aig = Gap_logic.Aig
 
 let tt_gen vars =
@@ -125,29 +124,6 @@ let test_npn_identity () =
   Alcotest.(check bool) "identity applies" true (Tt.equal f (Npn.apply f t));
   Alcotest.(check int) "zero cost" 0 (Npn.negation_cost t)
 
-(* --- expr --- *)
-
-let test_expr_eval () =
-  let open Expr in
-  let e = mux ~sel:(var 2) (var 0) (var 1) in
-  let env m i = m land (1 lsl i) <> 0 in
-  for m = 0 to 7 do
-    let expect = if m land 4 <> 0 then m land 2 <> 0 else m land 1 <> 0 in
-    Alcotest.(check bool) "mux semantics" expect (eval e (env m))
-  done
-
-let test_expr_majority () =
-  let open Expr in
-  let e = majority (var 0) (var 1) (var 2) in
-  let tt = to_truthtable ~vars:3 e in
-  Alcotest.(check int) "maj minterms" 4 (Tt.count_ones tt);
-  Alcotest.(check bool) "monotone" true (Tt.is_monotone tt)
-
-let test_expr_max_var () =
-  let open Expr in
-  Alcotest.(check int) "const" (-1) (max_var tru);
-  Alcotest.(check int) "nested" 5 (max_var (var 2 &&& not_ (var 5)))
-
 (* --- aig --- *)
 
 let test_aig_simplifications () =
@@ -258,18 +234,6 @@ let test_aig_equivalence_check () =
   Alcotest.(check bool) "equivalent xors" true (Aig.equivalent_random g1 g2 rng);
   Alcotest.(check bool) "xor is not or" false (Aig.equivalent_random g1 g3 rng)
 
-let test_aig_of_expr () =
-  let g = Aig.create () in
-  let a = Aig.add_input g "a" and b = Aig.add_input g "b" and c = Aig.add_input g "c" in
-  let e = Expr.(majority (var 0) (var 1) (var 2)) in
-  Aig.add_output g "m" (Aig.of_expr g e [| a; b; c |]);
-  for m = 0 to 7 do
-    let bit i = m land (1 lsl i) <> 0 in
-    let out = Aig.eval g [| bit 0; bit 1; bit 2 |] in
-    let expect = Expr.eval e bit in
-    Alcotest.(check bool) "majority via aig" expect out.(0)
-  done
-
 let suite =
   [
     ("tt var", `Quick, test_tt_var);
@@ -287,9 +251,6 @@ let suite =
     QCheck_alcotest.to_alcotest npn_match_roundtrip;
     ("npn best match cost", `Quick, test_npn_best_match_cost);
     ("npn identity", `Quick, test_npn_identity);
-    ("expr mux eval", `Quick, test_expr_eval);
-    ("expr majority", `Quick, test_expr_majority);
-    ("expr max_var", `Quick, test_expr_max_var);
     ("aig simplifications", `Quick, test_aig_simplifications);
     ("aig structural hashing", `Quick, test_aig_strash);
     ("aig gate eval", `Quick, test_aig_eval_gates);
@@ -299,5 +260,4 @@ let suite =
     ("aig cone_of", `Quick, test_aig_cone_of);
     ("aig fanout counts", `Quick, test_aig_fanout_counts);
     ("aig equivalence check", `Quick, test_aig_equivalence_check);
-    ("aig of_expr", `Quick, test_aig_of_expr);
   ]

@@ -1,5 +1,5 @@
 (* Gap_resilience: typed stage errors, deterministic fault injection,
-   supervised retries/deadlines, atomic artifact writes, and
+   supervised retries, atomic artifact writes, and
    checkpoint/resume. The property that matters here: a killed campaign
    resumed from its checkpoint produces byte-identical final output. The
    other one — every catalog fault either recovers or surfaces a typed
@@ -57,13 +57,8 @@ let test_retryable () =
   let open Stage_error in
   Alcotest.(check bool) "transient injection retryable" true
     (retryable (Injected { site = "s"; kind = Transient }));
-  Alcotest.(check bool) "worker failure retryable" true
-    (retryable (Worker_failed { stage = "mc"; worker = 1; error = "died" }));
   Alcotest.(check bool) "corruption not retryable" false
     (retryable (Injected { site = "s"; kind = Corrupt }));
-  Alcotest.(check bool) "deadline not retryable" false
-    (retryable
-       (Deadline_exceeded { stage = "s"; elapsed_ns = 2L; budget_ns = 1L }));
   Alcotest.(check bool) "defect not retryable" false
     (retryable (Netlist_defect { stage = "s"; rule = "r"; detail = "d" }))
 
@@ -172,7 +167,7 @@ let fault_bookkeeping_prop =
       in
       !injected = expect && inj_count = expect && hit_count = calls)
 
-(* --- Supervisor: retry, exhaustion, typed outcomes, deadlines --- *)
+(* --- Supervisor: retry, exhaustion, typed outcomes --- *)
 
 let test_retry_recovers () =
   let result, _ =
@@ -235,74 +230,6 @@ let test_guard_finite () =
   | Error (Stage_error.Numeric_fault { what; _ }) ->
       Alcotest.(check string) "what" "slack" what
   | _ -> Alcotest.fail "expected Numeric_fault under supervision"
-
-let test_deadline () =
-  (* no deadline armed: poll is a no-op *)
-  Supervisor.poll_deadline ~stage:"s";
-  let o =
-    Supervisor.run_stage ~stage:"s" (fun () ->
-        Supervisor.with_deadline_ns 0L (fun () ->
-            Supervisor.poll_deadline ~stage:"s"))
-  in
-  match o.Supervisor.result with
-  | Error (Stage_error.Deadline_exceeded { budget_ns; _ }) ->
-      Alcotest.(check bool) "budget" true (budget_ns = 0L)
-  | _ -> Alcotest.fail "expected Deadline_exceeded"
-
-(* --- Monte Carlo: worker death degrades to byte-identical samples --- *)
-
-let mc_model () = Gap_variation.Model.make Gap_variation.Model.mature
-
-let test_mc_worker_death () =
-  let simulate () =
-    Gap_variation.Montecarlo.simulate ~seed:11L ~domains:4 ~model:(mc_model ())
-      ~nominal_mhz:250. ~dies:4096 ()
-  in
-  let clean = simulate () in
-  let sink = Obs.recorder () in
-  let result, report =
-    Obs.with_sink sink (fun () ->
-        Fault.with_plan
-          [ Fault.spec "mc.worker" Stage_error.Worker_kill ]
-          simulate)
-  in
-  match result with
-  | Ok faulted ->
-      Alcotest.(check bool) "fault actually fired" true
-        (List.assoc_opt "mc.worker" report.Fault.injected = Some 1);
-      Alcotest.(check int) "degraded to sequential" 1
-        (Obs.counter_value sink "mc.degraded_runs");
-      Alcotest.(check bool) "samples byte-identical" true
-        (clean.Gap_variation.Montecarlo.fmax_mhz
-        = faulted.Gap_variation.Montecarlo.fmax_mhz)
-  | Error e -> Alcotest.failf "degradation failed: %s" (Printexc.to_string e)
-
-let mc_worker_death_identical_property =
-  (* the pinned test above at one shape; here random seeds, dies counts, and
-     worker counts. dies > 2 shards so a worker domain always spawns and the
-     kill site is reachable; the degraded sequential rerun must reproduce the
-     clean run's samples byte for byte *)
-  QCheck.Test.make ~name:"mc worker death degrades byte-identically" ~count:8
-    QCheck.(triple (int_bound 1000) (int_range 2049 8192) (int_range 2 4))
-    (fun (seed, dies, domains) ->
-      let seed = Int64.of_int seed in
-      let simulate () =
-        Gap_variation.Montecarlo.simulate ~seed ~domains ~model:(mc_model ())
-          ~nominal_mhz:250. ~dies ()
-      in
-      let clean =
-        Gap_variation.Montecarlo.simulate ~seed ~model:(mc_model ())
-          ~nominal_mhz:250. ~dies ()
-      in
-      let result, report =
-        Fault.with_plan [ Fault.spec "mc.worker" Stage_error.Worker_kill ] simulate
-      in
-      match result with
-      | Ok faulted ->
-          List.assoc_opt "mc.worker" report.Fault.injected = Some 1
-          && clean.Gap_variation.Montecarlo.fmax_mhz
-             = faulted.Gap_variation.Montecarlo.fmax_mhz
-      | Error _ -> false)
 
 (* --- Placer: mid-anneal fault falls back to best-so-far --- *)
 
@@ -460,9 +387,6 @@ let suite =
     Alcotest.test_case "retry budget exhausts typed" `Quick test_retry_exhausts;
     Alcotest.test_case "run_stage never raises" `Quick test_run_stage_never_raises;
     Alcotest.test_case "guard_finite only under supervision" `Quick test_guard_finite;
-    Alcotest.test_case "cooperative deadline" `Quick test_deadline;
-    Alcotest.test_case "mc worker death degrades identically" `Quick test_mc_worker_death;
-    QCheck_alcotest.to_alcotest mc_worker_death_identical_property;
     Alcotest.test_case "placer recovers best-so-far" `Quick test_placer_recovery;
     Alcotest.test_case "corrupt parasitic is typed" `Quick test_corrupt_parasitic_typed;
     Alcotest.test_case "checkpoint round-trip + version gate" `Quick test_checkpoint_roundtrip;

@@ -34,38 +34,6 @@ let test_mc_deterministic () =
   let c = run ~seed:6L () in
   Alcotest.(check bool) "different seed differs" true (MC.mean a <> MC.mean c)
 
-let test_mc_domains_identical () =
-  (* the shard layout depends only on [dies], so the sample array must be
-     byte-identical for any worker count — including a dies count that does
-     not divide evenly into shards *)
-  let model = V.make V.mature in
-  let base = MC.simulate ~seed:7L ~model ~nominal_mhz:250. ~dies:4500 () in
-  List.iter
-    (fun d ->
-      let r = MC.simulate ~seed:7L ~domains:d ~model ~nominal_mhz:250. ~dies:4500 () in
-      Alcotest.(check bool)
-        (Printf.sprintf "domains=%d identical" d)
-        true
-        (r.MC.fmax_mhz = base.MC.fmax_mhz))
-    [ 1; 2; 4 ]
-
-let mc_domains_identical_property =
-  (* same contract as the pinned test above, but over random seeds and dies
-     counts — shard-boundary stragglers, single-shard runs, and runs smaller
-     than the worker count included *)
-  QCheck.Test.make ~name:"mc samples byte-identical across domains" ~count:12
-    QCheck.(pair (int_bound 1000) (int_range 1 5000))
-    (fun (seed, dies) ->
-      let model = V.make V.mature in
-      let seed = Int64.of_int seed in
-      let base = MC.simulate ~seed ~model ~nominal_mhz:250. ~dies () in
-      List.for_all
-        (fun d ->
-          let r = MC.simulate ~seed ~domains:d ~model ~nominal_mhz:250. ~dies () in
-          r.MC.fmax_mhz = base.MC.fmax_mhz
-          && MC.percentile r 50. = MC.percentile base 50.)
-        [ 2; 4 ])
-
 (* --- retained standard normals: an independent scalar oracle --- *)
 
 (* What every run must equal, however many of its normals were retained
@@ -144,10 +112,10 @@ let oracle_ref seed m =
 
 (* one step: simulate, then check the samples against the oracle and the
    reuse counters against the retention rule *)
-let oracle_step ret (seed, m, dies, domains) =
+let oracle_step ret (seed, m, dies) =
   let r, counts =
     counted (fun () ->
-        MC.simulate ~seed ~domains ~model:oracle_models.(m) ~nominal_mhz:250. ~dies ())
+        MC.simulate ~seed ~model:oracle_models.(m) ~nominal_mhz:250. ~dies ())
   in
   let expected = expect_counts ret ~seed ~dies in
   (same_bits r (oracle_ref seed m), counts = expected)
@@ -155,29 +123,29 @@ let oracle_step ret (seed, m, dies, domains) =
 let test_mc_reuse_matches_oracle () =
   let ret = { r_seed = None; r_shards = 0; r_last = None } in
   List.iter
-    (fun ((seed, m, dies, domains) as step) ->
+    (fun ((seed, m, dies) as step) ->
       let bits, counts = oracle_step ret step in
-      let what = Printf.sprintf "seed %Ld model %d dies %d domains %d" seed m dies domains in
+      let what = Printf.sprintf "seed %Ld model %d dies %d" seed m dies in
       Alcotest.(check bool) (what ^ ": samples equal the oracle") true bits;
       Alcotest.(check bool) (what ^ ": reuse counters") true counts)
     [
       (* a first run keeps nothing; the second on its seed starts the stream *)
-      (4242L, 0, 3000, 1);
+      (4242L, 0, 3000);
       (* shrink, other model *)
-      (4242L, 1, 1500, 2);
+      (4242L, 1, 1500);
       (* grow past what is retained *)
-      (4242L, 0, 9999, 4);
+      (4242L, 0, 9999);
       (* switch seeds once, then back *)
-      (4343L, 0, 5123, 2);
-      (4242L, 1, 7001, 1);
+      (4343L, 0, 5123);
+      (4242L, 1, 7001);
       (* cross the 64-shard cap, then reuse all 64 of it *)
-      (4242L, 1, (70 * 1024) + 300, 4);
-      (4242L, 0, 66_001, 1);
-      (4343L, 1, 777, 4);
+      (4242L, 1, (70 * 1024) + 300);
+      (4242L, 0, 66_001);
+      (4343L, 1, 777);
       (* a second run in a row on the other seed replaces the stream *)
-      (4343L, 1, 4000, 2);
-      (4242L, 0, 3000, 4);
-      (4242L, 1, 2049, 1);
+      (4343L, 1, 4000);
+      (4242L, 0, 3000);
+      (4242L, 1, 2049);
     ]
 
 let mc_reuse_oracle_property =
@@ -188,8 +156,8 @@ let mc_reuse_oracle_property =
   QCheck.Test.make ~name:"mc reuse equals the scalar oracle" ~count:6
     QCheck.(
       list_of_size (Gen.int_range 1 6)
-        (quad (oneofl [ 4242L; 4343L ]) (int_bound 1)
-           (int_range 1 oracle_max_dies) (oneofl [ 1; 2; 4 ])))
+        (triple (oneofl [ 4242L; 4343L ]) (int_bound 1)
+           (int_range 1 oracle_max_dies)))
     (fun steps ->
       fresh := Int64.succ !fresh;
       for _ = 1 to 2 do
@@ -197,59 +165,56 @@ let mc_reuse_oracle_property =
       done;
       let ret = { r_seed = Some !fresh; r_shards = 1; r_last = Some !fresh } in
       List.for_all
-        (fun (seed, m, dies, domains) ->
+        (fun (seed, m, dies) ->
           (* the shrinker may step below [int_range]'s bound *)
-          let bits, counts = oracle_step ret (seed, m, max 1 dies, domains) in
+          let bits, counts = oracle_step ret (seed, m, max 1 dies) in
           bits && counts)
         steps)
 
-let test_mc_reuse_after_worker_death () =
-  (* a killed worker degrades as before, and the failed parallel run
-     publishes nothing: the sequential rerun draws every shard again. A
-     one-die run first makes the seed the previous one, so both attempts
-     would keep what they draw. *)
-  let seed = 4444L and dies = 5000 in
-  let shards = (dies + 1023) / 1024 in
-  let ref_ = reference ~seed ~model:oracle_models.(0) ~nominal_mhz:250. ~dies in
-  let simulate domains () =
-    MC.simulate ~seed ~domains ~model:oracle_models.(0) ~nominal_mhz:250. ~dies ()
+(* Concurrent callers, the only concurrency Monte Carlo has: runs on pool
+   domains interleave the retention rule (which run keeps, which reads), so
+   no counter is asserted, but every run must still equal the oracle bit for
+   bit. A job returns its verdict instead of raising, so the pool never
+   re-runs a failed job on the calling domain. *)
+let same_on_domains jobs =
+  let run (seed, m, dies) =
+    match MC.simulate ~seed ~model:oracle_models.(m) ~nominal_mhz:250. ~dies () with
+    | r -> same_bits r (oracle_ref seed m)
+    | exception _ -> false
   in
-  ignore (MC.simulate ~seed ~model:oracle_models.(0) ~nominal_mhz:250. ~dies:1 ());
-  let sink = Gap_obs.Obs.recorder () in
-  let result, report =
-    Gap_obs.Obs.with_sink sink (fun () ->
-        Gap_resilience.Fault.with_plan
-          [ Gap_resilience.Fault.spec "mc.worker" Gap_resilience.Stage_error.Worker_kill ]
-          (simulate 4))
+  List.iter (fun (seed, m, _) -> ignore (oracle_ref seed m)) jobs;
+  Array.for_all
+    (fun o -> o = Ok true)
+    (Gap_dse.Pool.map ~domains:4 ~stage:"mc.test" run (Array.of_list jobs))
+
+let test_mc_domains_identical () =
+  let dies = [| oracle_max_dies; 66_001; 3000; 70 * 1024; 9999; 1500; 4500 |] in
+  let jobs =
+    List.init 48 (fun i ->
+        ((if i mod 3 = 2 then 4343L else 4242L), i mod 2, dies.(i mod Array.length dies)))
   in
-  (match result with
-  | Ok r ->
-      Alcotest.(check bool) "fault fired" true
-        (List.assoc_opt "mc.worker" report.Gap_resilience.Fault.injected = Some 1);
-      Alcotest.(check int) "degraded" 1 (Gap_obs.Obs.counter_value sink "mc.degraded_runs");
-      Alcotest.(check int) "nothing reused" 0 (Gap_obs.Obs.counter_value sink "mc.shards_reused");
-      Alcotest.(check int) "both attempts drew every shard" (2 * shards)
-        (Gap_obs.Obs.counter_value sink "mc.shards_drawn");
-      Alcotest.(check bool) "degraded run equals the oracle" true (same_bits r ref_)
-  | Error e -> Alcotest.failf "degradation failed: %s" (Printexc.to_string e));
-  List.iter
-    (fun d ->
-      let r, (reused, drawn) = counted (simulate d) in
-      Alcotest.(check bool) (Printf.sprintf "next call at %d domains equals the oracle" d) true
-        (same_bits r ref_);
-      Alcotest.(check (pair int int)) "next call reuses every shard" (shards, 0) (reused, drawn))
-    [ 1; 2; 4 ]
+  Alcotest.(check bool) "every concurrent run equals the oracle" true
+    (same_on_domains jobs)
+
+let mc_domains_identical_property =
+  (* random seeds and die counts on pool domains — shard-boundary
+     stragglers, single-shard runs, and fewer runs than domains included *)
+  QCheck.Test.make ~name:"mc samples byte-identical across domains" ~count:12
+    QCheck.(
+      list_of_size (Gen.int_range 1 8)
+        (triple (oneofl [ 4242L; 4343L ]) (int_bound 1) (int_range 1 oracle_max_dies)))
+    (fun jobs -> same_on_domains (List.map (fun (s, m, d) -> (s, m, max 1 d)) jobs))
 
 let test_mc_retention_capped () =
   (* after a one-die run on its seed, a 1M-die run keeps 64 shards and
-     draws the rest into worker scratch; run again, exactly 64 come back *)
+     draws the rest into scratch; run again, exactly 64 come back *)
   let seed = 4545L and dies = 1_000_000 in
   let shards = (dies + 1023) / 1024 in
   let model = oracle_models.(0) in
   ignore (MC.simulate ~seed ~model ~nominal_mhz:250. ~dies:1 ());
-  let a = MC.simulate ~seed ~domains:2 ~model ~nominal_mhz:250. ~dies () in
+  let a = MC.simulate ~seed ~model ~nominal_mhz:250. ~dies () in
   let b, counts =
-    counted (fun () -> MC.simulate ~seed ~domains:2 ~model ~nominal_mhz:250. ~dies ())
+    counted (fun () -> MC.simulate ~seed ~model ~nominal_mhz:250. ~dies ())
   in
   Alcotest.(check (pair int int)) "64 reused, the rest drawn" (64, shards - 64) counts;
   Alcotest.(check bool) "samples identical" true (a.MC.fmax_mhz = b.MC.fmax_mhz);
@@ -480,13 +445,12 @@ let suite =
     ("samples positive and centred", `Quick, test_sample_positive_and_centred);
     ("total sigma", `Quick, test_total_sigma);
     ("MC deterministic by seed", `Quick, test_mc_deterministic);
-    ("MC identical across domains", `Quick, test_mc_domains_identical);
-    QCheck_alcotest.to_alcotest mc_domains_identical_property;
     ("MC reuse equals the scalar oracle", `Quick, test_mc_reuse_matches_oracle);
     QCheck_alcotest.to_alcotest mc_reuse_oracle_property;
-    ("MC reuse after worker death", `Quick, test_mc_reuse_after_worker_death);
-    ("MC retains at most 64 shards", `Quick, test_mc_retention_capped);
+    ("MC identical across domains", `Quick, test_mc_domains_identical);
+    QCheck_alcotest.to_alcotest mc_domains_identical_property;
     ("MC percentiles ordered", `Quick, test_mc_percentiles_ordered);
+    ("MC retains at most 64 shards", `Quick, test_mc_retention_capped);
     QCheck_alcotest.to_alcotest mc_percentile_matches_reference_property;
     ("fraction above", `Quick, test_fraction_above);
     ("binning counts", `Quick, test_binning_counts);

@@ -67,15 +67,15 @@ let test_roundtrip_constants () =
   ignore (roundtrip_equivalent ~vectors:4 nl)
 
 let test_write_is_parsable_text () =
-  let g = Gap_datapath.Comparator.comparator ~width:4 in
-  let nl = Gap_synth.Mapper.map_aig ~lib:(Lazy.force lib) ~name:"cmp4" g in
+  let g = Gap_datapath.Adders.cla_adder 4 in
+  let nl = Gap_synth.Mapper.map_aig ~lib:(Lazy.force lib) ~name:"cla4" g in
   let src = Verilog.write nl in
   let contains sub =
     let n = String.length sub and m = String.length src in
     let rec go i = i + n <= m && (String.sub src i n = sub || go (i + 1)) in
     go 0
   in
-  Alcotest.(check bool) "module header" true (contains "module cmp4");
+  Alcotest.(check bool) "module header" true (contains "module cla4");
   Alcotest.(check bool) "endmodule" true (contains "endmodule");
   Alcotest.(check bool) "named connections" true (contains ".Y(")
 
